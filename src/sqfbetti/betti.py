@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 
 from .core import MonomialIdeal, SqfMonomial, monomial_names
-from .errors import OutOfRange, ParseError
+from .errors import OutOfRange, ParseError, SizeLimitExceeded
 from .homology import (
     DEFAULT_FACE_CAP,
     FieldSpec,
@@ -97,7 +98,9 @@ def betti_table(
     iteration is over LCM(I) rather than all 2^n square-free monomials.
     Per-multidegree homology runs are independent; with threads > 1 they
     are farmed out to a pool and reassembled in lattice order, so the
-    result does not depend on scheduling.
+    result does not depend on scheduling.  If a complex exceeds
+    face_cap, the SizeLimitExceeded carries the multigraded entries
+    (i, m) -> rank of the multidegrees finished before it.
     """
     lat = build_lattice(I, cap=lattice_cap)
     q = len(I.gens)
@@ -108,18 +111,21 @@ def betti_table(
         return [ranks.h(i - 2) for i in range(1, q + 1)]
 
     work = [m for m in lat.elements if not m.is_one]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            computed = list(pool.map(ranks_for, work))
-    else:
-        computed = [ranks_for(m) for m in work]
-
     multigraded: dict[tuple[int, SqfMonomial], int] = {}
     multigraded[(0, SqfMonomial.one())] = 1
-    for m, hs in zip(work, computed):
-        for i, rank in enumerate(hs, start=1):
-            if rank:
-                multigraded[(i, m)] = rank
+    with ExitStack() as stack:
+        if threads > 1:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads))
+            computed = pool.map(ranks_for, work)
+        else:
+            computed = map(ranks_for, work)
+        try:
+            for m, hs in zip(work, computed):
+                for i, rank in enumerate(hs, start=1):
+                    if rank:
+                        multigraded[(i, m)] = rank
+        except SizeLimitExceeded as e:
+            raise SizeLimitExceeded(str(e), partial=multigraded) from None
     graded: dict[tuple[int, int], int] = {}
     for (i, m), rank in multigraded.items():
         key = (i, m.degree)

@@ -1,14 +1,15 @@
 """Taylor subcomplexes below a multidegree and exact reduced homology.
 
-The chain complexes here are tiny by numerical-linear-algebra standards
-but must be exact, so ranks are computed by fraction-free (Bareiss)
-elimination over the rationals, with an automatic big-integer restart if
-intermediate minors leave the int64-safe range, or by modular elimination
-over a prime field.
+The chain complexes here are small but their ranks must be exact.  Each
+boundary map is built as sparse columns of +-1 entries and reduced by
+one elimination routine in Python integers, with unit pivots
+subtracting in place: exact over the rationals, and modulo p over a
+prime field.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,10 +18,6 @@ from .core import MonomialIdeal, SqfMonomial, _indices_of
 from .errors import ParseError, SizeLimitExceeded
 
 DEFAULT_FACE_CAP = 2**20
-
-# Bareiss intermediates are minors of the input; products of two entries
-# below this bound stay inside int64.
-_INT64_SAFE = 2**31
 
 
 def _is_prime(n: int) -> bool:
@@ -43,7 +40,7 @@ class FieldSpec:
 
     def __init__(self, p: int | None = None):
         if p is not None:
-            if not 2 <= p < _INT64_SAFE:
+            if not 2 <= p < 2**31:
                 raise ParseError(f"prime must be in [2, 2^31), got {p}")
             if not _is_prime(p):
                 raise ParseError(f"{p} is not prime")
@@ -215,34 +212,52 @@ def taylor_faces_below(
     return FaceSet(faces)
 
 
-def _face_key(mask: int) -> tuple[int, ...]:
-    return _indices_of(mask)
-
 def boundary_matrix(
     faces_lower: Sequence[int], faces_upper: Sequence[int]
 ) -> np.ndarray:
     """Signed incidence matrix from d-faces (columns) to (d-1)-faces (rows).
 
     Vertices inside a face are taken in ascending generator index; the
-    k-th deletion gets sign (-1)^k.
+    k-th deletion gets sign (-1)^k.  The dense form of
+    :func:`_boundary_columns`, kept for inspection and tests.
     """
-    row_of = {f: i for i, f in enumerate(faces_lower)}
     M = np.zeros((len(faces_lower), len(faces_upper)), dtype=np.int64)
-    for col, f in enumerate(faces_upper):
-        sign = 1
-        for v in _indices_of(f):
-            M[row_of[f ^ (1 << v)], col] = sign
-            sign = -sign
+    for c, col in enumerate(_boundary_columns(faces_lower, faces_upper)):
+        for r, sign in col.items():
+            M[r, c] = sign
     return M
 
 
+def _boundary_columns(
+    faces_lower: Sequence[int], faces_upper: Sequence[int]
+) -> list[dict[int, int]]:
+    """The boundary map as sparse columns {row index: +-1}, one per d-face."""
+    row_of = {f: i for i, f in enumerate(faces_lower)}
+    columns = []
+    for f in faces_upper:
+        col = {}
+        sign = 1
+        rest = f
+        while rest:
+            low = rest & -rest
+            col[row_of[f ^ low]] = sign
+            sign = -sign
+            rest ^= low
+        columns.append(col)
+    return columns
+
+
 def faces_by_dimension(faces: FaceSet) -> dict[int, list[int]]:
-    """Faces grouped by dimension, each group sorted by index tuple."""
+    """Faces grouped by dimension, each group sorted by mask.
+
+    Ranks do not depend on the order; the mask order only fixes row and
+    column indices so that runs are reproducible.
+    """
     groups: dict[int, list[int]] = {}
     for f in faces.faces:
         groups.setdefault(f.bit_count() - 1, []).append(f)
-    for d in groups:
-        groups[d].sort(key=_face_key)
+    for g in groups.values():
+        g.sort()
     return groups
 
 
@@ -257,8 +272,8 @@ def reduced_homology_ranks(
     boundary_ranks: dict[int, int] = {}
     top = max(groups)
     for d in range(0, top + 1):
-        M = boundary_matrix(groups[d - 1], groups[d])
-        boundary_ranks[d] = matrix_rank(M, field)
+        columns = _boundary_columns(groups[d - 1], groups[d])
+        boundary_ranks[d] = matrix_rank(columns, field)
     homology = {}
     for d in range(-1, top + 1):
         homology[d] = (
@@ -273,120 +288,64 @@ def reduced_homology_ranks(
 # exact rank
 
 
-class _Int64Overflow(Exception):
-    pass
-
-
 def matrix_rank(M, field: FieldSpec = RATIONALS) -> int:
-    """Exact rank of an integer matrix over the chosen field."""
-    if isinstance(M, np.ndarray) and M.dtype == np.int64 and M.ndim == 2:
-        rows = None
-        A = M
-    else:
-        rows = [[int(x) for x in row] for row in M]
-        A = None
-    if field.p is not None:
-        p = field.p
-        if A is None:
-            A = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-            if A.ndim != 2:
-                A = A.reshape(len(rows), 0)
-        return _rank_modp(A, p)
-    if A is None:
-        if not rows or not rows[0]:
-            return 0
-        if max(abs(x) for row in rows for x in row) >= _INT64_SAFE:
-            return _rank_bareiss_bigint(rows)
-        A = np.array(rows, dtype=np.int64)
-    if A.size == 0:
-        return 0
-    try:
-        return _rank_bareiss_int64(A.copy())
-    except _Int64Overflow:
-        if rows is None:
-            rows = [[int(x) for x in row] for row in A]
-        return _rank_bareiss_bigint(rows)
+    """Exact rank of an integer matrix over the chosen field.
+
+    M is a 2-d array, a list of rows, or a list of sparse columns
+    {row index: entry} as built for boundary maps.  A dense matrix is
+    reduced by its rows, which has the same rank.
+    """
+    if isinstance(M, np.ndarray):
+        M = M.tolist()
+    vectors = [
+        v if isinstance(v, dict) else {j: int(x) for j, x in enumerate(v) if x}
+        for v in M
+    ]
+    return _rank_sparse(vectors, field.p)
 
 
-def _rank_bareiss_int64(A: np.ndarray) -> int:
-    """Fraction-free elimination in int64; raises on potential overflow."""
-    nrows, ncols = A.shape
-    r = 0
-    prev = np.int64(1)
-    for c in range(ncols):
-        if r == nrows:
-            break
-        if np.abs(A[r:]).max(initial=0) >= _INT64_SAFE:
-            raise _Int64Overflow
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            A[[r, p]] = A[[p, r]]
-        piv = A[r, c]
-        if r + 1 < nrows:
-            col = A[r + 1 :, c].copy()
-            A[r + 1 :] *= piv
-            A[r + 1 :] -= col[:, None] * A[r]
-            # exact in every row: entries remain minors of the input
-            A[r + 1 :] //= prev
-        prev = piv
-        r += 1
-    return r
+def _rank_sparse(columns: list[dict[int, int]], p: int | None) -> int:
+    """Rank of sparse integer columns over QQ (p is None) or GF(p).
 
-
-def _rank_bareiss_bigint(M: list[list[int]]) -> int:
-    """Pure-python Bareiss with exact big-integer arithmetic."""
-    M = [list(row) for row in M]
-    nrows, ncols = len(M), len(M[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if M[i][c]), None)
-        if pivot_row is None:
-            continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        piv = M[r][c]
-        Mr = M[r]
-        for i in range(r + 1, nrows):
-            Mi = M[i]
-            f = Mi[c]
-            if f:
-                for j in range(ncols):
-                    Mi[j] = (piv * Mi[j] - f * Mr[j]) // prev
-            elif prev != 1:
-                for j in range(ncols):
-                    Mi[j] = piv * Mi[j] // prev
-            elif piv != 1:
-                for j in range(ncols):
-                    Mi[j] = piv * Mi[j]
-        prev = piv
-        r += 1
-    return r
-
-
-def _rank_modp(A: np.ndarray, p: int) -> int:
-    """Row elimination mod p; p < 2^31 keeps products inside int64."""
-    A = np.mod(A, p)
-    nrows, ncols = A.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        q = r + int(nz[0])
-        if q != r:
-            A[[r, q]] = A[[q, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = A[r] * inv % p
-        if r + 1 < nrows:
-            factors = A[r + 1 :, c].copy()
-            A[r + 1 :] -= factors[:, None] * A[r]
-            np.mod(A[r + 1 :], p, out=A[r + 1 :])
-        r += 1
-    return r
+    Each column is reduced against the stored pivots, keyed by their
+    largest row index, until it is zero or its largest row is new.  A
+    +-1 pivot, the common case on boundary maps, subtracts in place
+    (Dumas-Saunders-Villard 2001).  Over QQ a non-unit pivot b and the
+    column's entry a give b*col - a*pivot, divided by its content; over
+    GF(p) every stored pivot is scaled to lead with 1.  The input
+    columns are not modified.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        col = {r: v % p for r, v in col.items() if v % p} if p else dict(col)
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                if p and col[low] != 1:
+                    inv = pow(col[low], -1, p)
+                    col = {r: v * inv % p for r, v in col.items()}
+                pivots[low] = col
+                break
+            a, b = col[low], piv[low]
+            if b == 1 or b == -1:
+                f = a * b
+                for r, v in piv.items():
+                    x = col.get(r, 0) - f * v
+                    if p:
+                        x %= p
+                    if x:
+                        col[r] = x
+                    else:
+                        del col[r]
+            else:
+                out = {r: b * v for r, v in col.items()}
+                for r, v in piv.items():
+                    x = out.get(r, 0) - a * v
+                    if x:
+                        out[r] = x
+                    else:
+                        del out[r]
+                g = gcd(*out.values())
+                col = {r: v // g for r, v in out.items()} if g > 1 else out
+    return len(pivots)

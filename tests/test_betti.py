@@ -5,6 +5,7 @@ import pytest
 from sqfbetti import (
     GF_32003,
     RATIONALS,
+    FieldSpec,
     SqfMonomial,
     betti_table,
     build_lattice,
@@ -12,12 +13,13 @@ from sqfbetti import (
     induced_subideal,
     multigraded_betti,
     parse_betti_m2,
+    parse_ideal_text,
     restrict_monomial,
     t_max,
     taylor_faces_below,
     reduced_homology_ranks,
 )
-from sqfbetti.errors import OutOfRange
+from sqfbetti.errors import OutOfRange, SizeLimitExceeded
 
 from conftest import mk, random_sqf_ideal
 
@@ -184,3 +186,31 @@ def test_field_agreement_small(path3, four_triangles):
 def test_zero_ranks_not_stored(triangle_tail_table):
     assert all(rank > 0 for rank in triangle_tail_table.multigraded.values())
     assert all(rank > 0 for rank in triangle_tail_table.graded.values())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_face_cap_error_carries_finished_entries(three_brooms, three_brooms_table, threads):
+    with pytest.raises(SizeLimitExceeded) as e:
+        betti_table(three_brooms, threads=threads, face_cap=5)
+    partial = e.value.partial
+    assert any(i >= 1 for i, _ in partial)
+    assert partial.items() <= three_brooms_table.multigraded.items()
+    assert len(partial) < len(three_brooms_table.multigraded)
+
+
+# Stanley-Reisner ideal of the 6-vertex real projective plane
+RP2_6 = (
+    "x1 x2 x3", "x1 x2 x5", "x1 x3 x4", "x1 x4 x6", "x1 x5 x6",
+    "x2 x3 x6", "x2 x4 x5", "x2 x4 x6", "x3 x4 x5", "x3 x5 x6",
+)
+
+
+@pytest.mark.parametrize(
+    "p, totals",
+    [(None, (1, 10, 15, 6)), (2, (1, 10, 15, 7, 1)), (3, (1, 10, 15, 6))],
+)
+def test_rp2_6_totals_depend_on_characteristic(p, totals):
+    # the 2-torsion of RP^2 adds beta_(3,6) = beta_(4,6) = 1 over GF(2) only;
+    # over QQ its boundary ranks need pivots that are not +-1
+    table = betti_table(parse_ideal_text("\n".join(RP2_6)), FieldSpec(p))
+    assert table.totals() == totals

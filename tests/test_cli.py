@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from importlib import resources
 
 import jsonschema
@@ -486,6 +487,13 @@ def test_exit_codes(capsys, monkeypatch):
     code, _, err = run(capsys, "betti")
     assert code == 1
     assert "no input ideal" in err
+
+
+def test_face_cap_exit_reports_partial(capsys):
+    code, out, err = run(capsys, "betti", "--face-cap", "5", "--gens", GENS_B)
+    assert code == 2
+    assert out == ""
+    assert re.search(r"^partial: [1-9]\d* results", err, re.M)
 
 
 def test_env_budget_overrides(capsys, monkeypatch):

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqfbetti import (
@@ -225,3 +226,63 @@ def test_homology_field_agreement_on_taylor_complexes():
         a = reduced_homology_ranks(faces, RATIONALS)
         b = reduced_homology_ranks(faces, GF_32003)
         assert a.homology_ranks == b.homology_ranks
+
+
+def rank_oracle(rows, p=None):
+    """Textbook Gauss elimination over Fraction (p None) or GF(p)."""
+    A = [[Fraction(x) if p is None else x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(A[0]) if A else 0):
+        pivot = next((i for i in range(rank, len(A)) if A[i][c]), None)
+        if pivot is None:
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        inv = 1 / A[rank][c] if p is None else pow(A[rank][c], -1, p)
+        for i in range(rank + 1, len(A)):
+            f = A[i][c] * inv
+            A[i] = [x - f * y for x, y in zip(A[i], A[rank])]
+            if p is not None:
+                A[i] = [x % p for x in A[i]]
+        rank += 1
+    return rank
+
+
+ORACLE_FIELDS = [(RATIONALS, None), (FieldSpec(2), 2), (FieldSpec(3), 3), (GF_32003, 32003)]
+
+
+@st.composite
+def int_matrices(draw):
+    # no unit entry at all in the second alphabet: only cross-multiplication
+    # pivots over QQ, and ranks that drop mod 2 and mod 3
+    values = draw(st.sampled_from([tuple(range(-4, 5)), (0, 2, -2, 3, -3, 6, -6)]))
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    return [[draw(st.sampled_from(values)) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+@example([[2, 0], [0, 3]])  # rank 2 over QQ and GF(32003), 1 mod 2 and mod 3
+@example([[2, 3], [6, 9], [3, 2]])
+@example([[6, -6, 2], [3, 3, -2], [0, 6, 6]])
+def test_matrix_rank_matches_fraction_oracle(rows):
+    for field, p in ORACLE_FIELDS:
+        expect = rank_oracle(rows, p)
+        assert matrix_rank(rows, field) == expect
+        assert matrix_rank(np.array(rows, dtype=np.int64), field) == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_boundary_ranks_match_fraction_oracle(seed):
+    rng = random.Random(seed)
+    I = random_sqf_ideal(rng, max_vars=6, max_gens=6)
+    faces = taylor_faces_below(I, I.top())
+    if faces.is_void:
+        return
+    groups = faces_by_dimension(faces)
+    for field, p in ORACLE_FIELDS[:3]:
+        ranks = reduced_homology_ranks(faces, field)
+        for d in range(max(groups) + 1):
+            dense = boundary_matrix(groups[d - 1], groups[d])
+            assert ranks.r(d) == rank_oracle(dense.tolist(), p)
