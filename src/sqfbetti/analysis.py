@@ -95,7 +95,8 @@ def search_complement_witnesses(
 
     The scan is exhaustive over the lcm lattice, ordered by increasing
     degree then support of m (then of m2), and stops at the first hit
-    unless all_pairs is set.
+    unless all_pairs is set.  Only elements with beta_{b,m2} != 0 are
+    tried as m2.
     """
     if a + b != i:
         raise OutOfRange(f"need a + b = i, got {a} + {b} != {i}")
@@ -106,14 +107,13 @@ def search_complement_witnesses(
     if table is None:
         table = betti_table(I, field=field)
     full = I.vars.full_mask
+    right = [m2 for m2 in lattice.elements if table.multigraded.get((b, m2), 0)]
     out = []
     for m in lattice.elements:
         if not table.multigraded.get((a, m), 0):
             continue
-        for m2 in lattice.elements:
+        for m2 in right:
             if m.mask | m2.mask != full or I.contains(m.gcd(m2)):
-                continue
-            if not table.multigraded.get((b, m2), 0):
                 continue
             assert is_lattice_complement(I, m, m2, lattice=lattice)
             out.append((m, m2))

@@ -23,6 +23,7 @@ from .core import (
     facet_ideal,
     format_monomial,
 )
+from .covers import DEFAULT_SEARCH_BUDGET
 from .errors import (
     InvalidBouquetSet,
     InvalidPartition,
@@ -31,7 +32,6 @@ from .errors import (
 )
 from .homology import RATIONALS, FieldSpec
 
-DEFAULT_SEARCH_BUDGET = 10**6
 EXHAUSTIVE_THRESHOLD = 16
 
 

@@ -199,12 +199,35 @@ def is_minimal_cover(I: MonomialIdeal, cover) -> bool:
     return True
 
 
-def is_well_ordered_cover(I: MonomialIdeal, seq: Sequence[int]) -> WocCheck:
-    """Decide whether seq is a well ordered cover, with witnesses.
+def _witness_scan(
+    masks: Sequence[int], seq: Sequence[int]
+) -> tuple[list[tuple[int, int]], int | None]:
+    """The maximal witness j of each non-member of seq: its alpha value.
 
-    Witness scan runs from position s-1 downward, so the recorded j for
-    each non-member is the maximum one (its alpha value).
+    Returns (witnesses, None), or (witnesses so far, n) for the first
+    non-member n that has no witness.
     """
+    steps = []  # (j, mask of m_j, mask of lcm(m_{j+1}, ..., m_s))
+    suffix = 0
+    for j in range(len(seq) - 1, 0, -1):
+        suffix |= masks[seq[j]]
+        steps.append((j, masks[seq[j - 1]], suffix))
+    members = set(seq)
+    witnesses = []
+    for n, n_mask in enumerate(masks):
+        if n in members:
+            continue
+        for j, m_j, after in steps:
+            if not m_j & ~(n_mask | after):
+                witnesses.append((n, j))
+                break
+        else:
+            return witnesses, n
+    return witnesses, None
+
+
+def is_well_ordered_cover(I: MonomialIdeal, seq: Sequence[int]) -> WocCheck:
+    """Decide whether seq is a well ordered cover, with witnesses."""
     seq = tuple(int(i) for i in seq)
     if len(set(seq)) != len(seq):
         return WocCheck(False, reason="repeated generator in sequence")
@@ -212,31 +235,14 @@ def is_well_ordered_cover(I: MonomialIdeal, seq: Sequence[int]) -> WocCheck:
         return WocCheck(False, reason="generator index out of range")
     if not is_minimal_cover(I, seq):
         return WocCheck(False, reason="not a minimal cover")
-    s = len(seq)
-    # suffix_mask[j] = lcm of positions j+1..s (1-based j)
-    suffix_mask = [0] * (s + 1)
-    for j in range(s - 1, 0, -1):
-        suffix_mask[j] = suffix_mask[j + 1] | I.gens[seq[j]].mask
-    members = set(seq)
-    witnesses = []
-    for n in range(len(I.gens)):
-        if n in members:
-            continue
-        n_mask = I.gens[n].mask
-        hit = None
-        for j in range(s - 1, 0, -1):
-            allowed = n_mask | suffix_mask[j]
-            if I.gens[seq[j - 1]].mask | allowed == allowed:
-                hit = j
-                break
-        if hit is None:
-            name = format_monomial(I.gens[n], I.vars)
-            return WocCheck(
-                False,
-                reason=f"no witness position for non-member {name}",
-                failing=n,
-            )
-        witnesses.append((n, hit))
+    witnesses, failing = _witness_scan([g.mask for g in I.gens], seq)
+    if failing is not None:
+        name = format_monomial(I.gens[failing], I.vars)
+        return WocCheck(
+            False,
+            reason=f"no witness position for non-member {name}",
+            failing=failing,
+        )
     return WocCheck(True, woc=WellOrderedCover(I, seq, witnesses))
 
 
@@ -300,8 +306,14 @@ def find_well_ordered_covers(
     (remaining members, undischarged non-members) pair, which captures
     everything the future depends on.  Exceeding the budget raises
     SizeLimitExceeded with the covers found so far attached.
+
+    Each result is verified against the decision: minimality once per
+    cover searched, and for each emitted sequence that it permutes the
+    cover and passes the witness scan, whose maximal positions become
+    its witnesses.
     """
     covers = enumerate_minimal_covers(I, budget=budget)
+    masks = [g.mask for g in I.gens]
     results: list[WellOrderedCover] = []
     states = 0
 
@@ -314,6 +326,14 @@ def find_well_ordered_covers(
             n for n in range(len(I.gens)) if n not in cover.members
         )
         gens = I.gens
+        minimal = is_minimal_cover(I, members)
+
+        def verified(seq: tuple[int, ...]) -> WellOrderedCover:
+            witnesses, failing = _witness_scan(masks, seq)
+            assert (
+                minimal and sorted(seq) == members and failing is None
+            ), "search emitted a sequence failing the decision"
+            return WellOrderedCover(I, seq, witnesses)
 
         def spent() -> None:
             nonlocal states
@@ -356,9 +376,7 @@ def find_well_ordered_covers(
 
             seq = first(frozenset(members), non_members, 0)
             if seq is not None:
-                check = is_well_ordered_cover(I, seq)
-                assert check.ok, "search emitted a sequence failing the decision"
-                return [check.woc]
+                return [verified(seq)]
             continue
 
         memo: dict[
@@ -395,21 +413,19 @@ def find_well_ordered_covers(
             return memo[key]
 
         for seq in complete(frozenset(members), non_members, 0):
-            check = is_well_ordered_cover(I, seq)
-            assert check.ok, "search emitted a sequence failing the decision"
-            results.append(check.woc)
+            results.append(verified(seq))
 
     return results
 
 
-def _as_sequence(I: MonomialIdeal, woc) -> tuple[int, ...]:
+def _as_cover(I: MonomialIdeal, woc) -> WellOrderedCover:
     """Accept a WellOrderedCover or a raw index sequence; validate."""
     if isinstance(woc, WellOrderedCover):
-        return woc.sequence
+        return woc
     check = is_well_ordered_cover(I, tuple(woc))
     if not check.ok:
         raise NotWellOrdered(check.reason or "not a well ordered cover")
-    return check.woc.sequence
+    return check.woc
 
 
 def split_certificate(I: MonomialIdeal, woc, a: int) -> SplitCertificate:
@@ -422,7 +438,7 @@ def split_certificate(I: MonomialIdeal, woc, a: int) -> SplitCertificate:
     sufficient clause applies (None when neither does, which is not a
     refutation).
     """
-    seq = _as_sequence(I, woc)
+    seq = _as_cover(I, woc).sequence
     s = len(seq)
     if not 1 <= a <= s - 1:
         raise InvalidSplit(f"split position {a} outside 1..{s - 1}")
@@ -467,29 +483,12 @@ def alpha_values(I: MonomialIdeal, woc) -> tuple[tuple[tuple[int, int], ...], in
 
     alpha_k = max{j : m_j | lcm(n_k, m_{j+1}, ..., m_s)}, with the
     non-members n_k enumerated in canonical generator order.  With no
-    non-members the minimum is vacuous and ell = s by convention.
+    non-members the minimum is vacuous and ell = s by convention.  The
+    alpha values are the cover's witnesses, which record the maximal j.
     """
-    seq = _as_sequence(I, woc)
-    s = len(seq)
-    suffix_mask = [0] * (s + 1)
-    for j in range(s - 1, 0, -1):
-        suffix_mask[j] = suffix_mask[j + 1] | I.gens[seq[j]].mask
-    members = set(seq)
-    alphas = []
-    for n in range(len(I.gens)):
-        if n in members:
-            continue
-        n_mask = I.gens[n].mask
-        alpha = None
-        for j in range(s - 1, 0, -1):
-            allowed = n_mask | suffix_mask[j]
-            if I.gens[seq[j - 1]].mask | allowed == allowed:
-                alpha = j
-                break
-        assert alpha is not None  # guaranteed: seq passed the decision
-        alphas.append((n, alpha))
-    ell = min((a for _, a in alphas), default=s)
-    return tuple(alphas), ell
+    woc = _as_cover(I, woc)
+    ell = min((a for _, a in woc.witnesses), default=len(woc))
+    return woc.witnesses, ell
 
 
 def rotate_cover(woc: WellOrderedCover, i: int) -> tuple[int, ...]:

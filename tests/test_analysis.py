@@ -146,3 +146,34 @@ def test_witnesses_shared_lattice_consistency(three_brooms, three_brooms_table):
     a = search_complement_witnesses(three_brooms, 7, 2, 5, table=three_brooms_table)
     b = search_complement_witnesses(three_brooms, 7, 2, 5)
     assert a == b
+
+
+def test_witness_search_matches_full_scan():
+    rng = random.Random(61)
+    hits = 0
+    for _ in range(25):
+        I = random_sqf_ideal(rng, max_vars=6, max_gens=6)
+        table = betti_table(I)
+        lat = build_lattice(I)
+        beta = table.multigraded
+        for a in range(1, table.pd):
+            for b in range(1, table.pd - a + 1):
+                # every pair of lattice elements, in lattice order
+                full = [
+                    (m, m2)
+                    for m in lat.elements
+                    for m2 in lat.elements
+                    if beta.get((a, m), 0)
+                    and beta.get((b, m2), 0)
+                    and is_lattice_complement(I, m, m2, lat)
+                ]
+                got = search_complement_witnesses(
+                    I, a + b, a, b, all_pairs=True, table=table, lattice=lat
+                )
+                assert got == full
+                first = search_complement_witnesses(
+                    I, a + b, a, b, table=table, lattice=lat
+                )
+                assert first == full[:1]
+                hits += bool(full)
+    assert hits >= 10

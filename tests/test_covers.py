@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -177,6 +178,58 @@ def test_alpha_brute_force_agreement():
                 expect[n] = best
             assert dict(alphas) == expect
             assert ell == (min(expect.values()) if expect else s)
+
+
+def _witnesses_by_definition(I, seq):
+    """Largest j with m_j | lcm(n, m_{j+1}, ..., m_s) per non-member n, or None."""
+    s = len(seq)
+    out = []
+    for n in range(len(I.gens)):
+        if n in seq:
+            continue
+        hits = []
+        for j in range(1, s):
+            allowed = I.gens[n]
+            for k in seq[j:]:
+                allowed = allowed.lcm(I.gens[k])
+            if I.gens[seq[j - 1]].divides(allowed):
+                hits.append(j)
+        if not hits:
+            return None
+        out.append((n, max(hits)))
+    return tuple(out)
+
+
+def test_search_matches_brute_force_orderings():
+    rng = random.Random(71)
+    nonempty = 0
+    for _ in range(150):
+        I = random_sqf_ideal(rng, max_vars=6, max_gens=6)
+        accepted = {}
+        for cover in enumerate_minimal_covers(I):
+            for seq in itertools.permutations(sorted(cover.members)):
+                check = is_well_ordered_cover(I, seq)
+                expect = _witnesses_by_definition(I, seq)
+                assert check.ok == (expect is not None), seq
+                if check.ok:
+                    assert check.woc.witnesses == expect
+                    accepted[seq] = expect
+        found = find_well_ordered_covers(I)
+        assert len(found) == len(accepted)
+        assert {w.sequence: w.witnesses for w in found} == accepted
+        first = find_well_ordered_covers(I, first_only=True)
+        if accepted:
+            assert len(first) == 1
+            assert accepted[first[0].sequence] == first[0].witnesses
+        else:
+            assert first == []
+        for size in range(1, len(I.gens) + 1):
+            by_size = find_well_ordered_covers(I, size=size)
+            assert {w.sequence for w in by_size} == {
+                seq for seq in accepted if len(seq) == size
+            }
+        nonempty += bool(accepted)
+    assert nonempty >= 50
 
 
 def test_alpha_and_ell_on_paper_cover(star_cluster):
