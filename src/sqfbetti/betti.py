@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
-
 from .core import MonomialIdeal, SqfMonomial, monomial_names
 from .errors import OutOfRange, ParseError, SizeLimitExceeded
 from .homology import (
@@ -88,7 +85,6 @@ def multigraded_betti(
 def betti_table(
     I: MonomialIdeal,
     field: FieldSpec = RATIONALS,
-    threads: int = 1,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
     face_cap: int = DEFAULT_FACE_CAP,
 ) -> BettiTable:
@@ -96,36 +92,25 @@ def betti_table(
 
     Only lattice elements can carry nonzero multigraded ranks, so the
     iteration is over LCM(I) rather than all 2^n square-free monomials.
-    Per-multidegree homology runs are independent; with threads > 1 they
-    are farmed out to a pool and reassembled in lattice order, so the
-    result does not depend on scheduling.  If a complex exceeds
-    face_cap, the SizeLimitExceeded carries the multigraded entries
-    (i, m) -> rank of the multidegrees finished before it.
+    If a complex exceeds face_cap, the SizeLimitExceeded carries the
+    multigraded entries (i, m) -> rank of the multidegrees finished
+    before it.
     """
     lat = build_lattice(I, cap=lattice_cap)
     q = len(I.gens)
-
-    def ranks_for(m: SqfMonomial) -> list[int]:
-        faces = taylor_faces_below(I, m, cap=face_cap)
-        ranks = reduced_homology_ranks(faces, field)
-        return [ranks.h(i - 2) for i in range(1, q + 1)]
-
-    work = [m for m in lat.elements if not m.is_one]
-    multigraded: dict[tuple[int, SqfMonomial], int] = {}
-    multigraded[(0, SqfMonomial.one())] = 1
-    with ExitStack() as stack:
-        if threads > 1:
-            pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads))
-            computed = pool.map(ranks_for, work)
-        else:
-            computed = map(ranks_for, work)
+    multigraded = {(0, SqfMonomial.one()): 1}
+    for m in lat.elements:
+        if m.is_one:
+            continue
         try:
-            for m, hs in zip(work, computed):
-                for i, rank in enumerate(hs, start=1):
-                    if rank:
-                        multigraded[(i, m)] = rank
+            faces = taylor_faces_below(I, m, cap=face_cap)
         except SizeLimitExceeded as e:
             raise SizeLimitExceeded(str(e), partial=multigraded) from None
+        ranks = reduced_homology_ranks(faces, field)
+        for i in range(1, q + 1):
+            rank = ranks.h(i - 2)
+            if rank:
+                multigraded[(i, m)] = rank
     graded: dict[tuple[int, int], int] = {}
     for (i, m), rank in multigraded.items():
         key = (i, m.degree)

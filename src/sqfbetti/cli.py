@@ -153,7 +153,6 @@ def _cmd_betti(args, I: MonomialIdeal, field: FieldSpec) -> int:
     table = betti_table(
         I,
         field=field,
-        threads=_positive("--threads", args.threads),
         lattice_cap=args.lattice_cap_value,
         face_cap=args.face_cap_value,
     )
@@ -478,7 +477,6 @@ def _cmd_subadd(args, I: MonomialIdeal, field: FieldSpec) -> int:
     table = betti_table(
         I,
         field=field,
-        threads=_positive("--threads", args.threads),
         lattice_cap=args.lattice_cap_value,
         face_cap=args.face_cap_value,
     )
@@ -607,7 +605,6 @@ def _build_parser() -> _Parser:
         default=None,
         help="output format; m2 applies to betti only",
     )
-    common.add_argument("--threads", type=int, default=1, metavar="N")
     common.add_argument(
         "--wide", action="store_true", help="allow more than 64 variables"
     )

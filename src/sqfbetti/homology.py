@@ -4,7 +4,9 @@ The chain complexes here are small but their ranks must be exact.  Each
 boundary map is built as sparse columns of +-1 entries and reduced by
 one elimination routine in Python integers, with unit pivots
 subtracting in place: exact over the rationals, and modulo p over a
-prime field.
+prime field.  The maps are reduced from the top dimension down with
+clearing (Chen-Kerber, "Persistent homology computation with a twist",
+2011), so columns already known to be dependent are never built.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MonomialIdeal, SqfMonomial, _indices_of
-from .errors import ParseError, SizeLimitExceeded
+from .core import MonomialIdeal, SqfMonomial
+from .errors import ParseError, SizeLimitExceeded, SqfBettiError
 
 DEFAULT_FACE_CAP = 2**20
 
@@ -126,21 +128,10 @@ class FaceSet:
         return f"FaceSet({len(self.faces)} faces, dim {self.dimension()})"
 
     def dimension(self) -> int:
-        """Max face dimension; -1 for {empty face} only."""
+        """Max face dimension; -1 for {empty face}; Void raises SqfBettiError."""
+        if self.is_void:
+            raise SqfBettiError("the Void complex has no dimension")
         return max(f.bit_count() for f in self.faces) - 1
-
-    def as_index_sets(self) -> set[frozenset[int]]:
-        return {frozenset(_indices_of(f)) for f in self.faces}
-
-    def is_downward_closed(self) -> bool:
-        for f in self.faces:
-            rest = f
-            while rest:
-                low = rest & -rest
-                if f ^ low not in self.faces:
-                    return False
-                rest ^= low
-        return True
 
 
 class ChainComplexRanks:
@@ -250,8 +241,8 @@ def _boundary_columns(
 def faces_by_dimension(faces: FaceSet) -> dict[int, list[int]]:
     """Faces grouped by dimension, each group sorted by mask.
 
-    Ranks do not depend on the order; the mask order only fixes row and
-    column indices so that runs are reproducible.
+    Ranks do not depend on the order; the mask order fixes row and
+    column indices, the same for the d-faces in both maps they meet.
     """
     groups: dict[int, list[int]] = {}
     for f in faces.faces:
@@ -264,16 +255,26 @@ def faces_by_dimension(faces: FaceSet) -> dict[int, list[int]]:
 def reduced_homology_ranks(
     faces: FaceSet, field: FieldSpec = RATIONALS
 ) -> ChainComplexRanks:
-    """Exact reduced homology ranks of a downward-closed face set."""
+    """Exact reduced homology ranks of a downward-closed face set.
+
+    Boundary maps are reduced for d = top, ..., 0.  Clearing: a reduced
+    column of the (d+1)-th map whose largest row is the d-face s is a
+    cycle c*s + (earlier d-faces), c != 0, so the boundary of s depends
+    on earlier columns of the d-th map, and s gets no column; r_d, the
+    number of pivots, is unchanged over any field.  It needs the rows of
+    the (d+1)-th map in the column order of the d-th: both in mask order.
+    """
     if faces.is_void:
         return ChainComplexRanks({}, {}, {}, field)
     groups = faces_by_dimension(faces)
     face_counts = {d: len(g) for d, g in groups.items()}
     boundary_ranks: dict[int, int] = {}
     top = max(groups)
-    for d in range(0, top + 1):
-        columns = _boundary_columns(groups[d - 1], groups[d])
-        boundary_ranks[d] = matrix_rank(columns, field)
+    cleared: dict[int, dict[int, int]] = {}
+    for d in range(top, -1, -1):
+        kept = [f for j, f in enumerate(groups[d]) if j not in cleared]
+        cleared = _reduce_columns(_boundary_columns(groups[d - 1], kept), field.p)
+        boundary_ranks[d] = len(cleared)
     homology = {}
     for d in range(-1, top + 1):
         homology[d] = (
@@ -301,11 +302,14 @@ def matrix_rank(M, field: FieldSpec = RATIONALS) -> int:
         v if isinstance(v, dict) else {j: int(x) for j, x in enumerate(v) if x}
         for v in M
     ]
-    return _rank_sparse(vectors, field.p)
+    return len(_reduce_columns(vectors, field.p))
 
 
-def _rank_sparse(columns: list[dict[int, int]], p: int | None) -> int:
-    """Rank of sparse integer columns over QQ (p is None) or GF(p).
+def _reduce_columns(columns: list[dict[int, int]], p: int | None) -> dict:
+    """Pivots of sparse integer columns over QQ (p is None) or GF(p).
+
+    The result maps each pivot's largest row index to its reduced
+    column; its length is the rank.
 
     Each column is reduced against the stored pivots, keyed by their
     largest row index, until it is zero or its largest row is new.  A
@@ -348,4 +352,4 @@ def _rank_sparse(columns: list[dict[int, int]], p: int | None) -> int:
                         del out[r]
                 g = gcd(*out.values())
                 col = {r: v // g for r, v in out.items()} if g > 1 else out
-    return len(pivots)
+    return pivots

@@ -153,12 +153,6 @@ def test_table_matches_direct_homology(path3):
             assert table.multigraded.get((i, m), 0) == expect
 
 
-def test_threads_do_not_change_result(triangle_tail, triangle_tail_table):
-    threaded = betti_table(triangle_tail, threads=4)
-    assert threaded.multigraded == triangle_tail_table.multigraded
-    assert threaded.graded == triangle_tail_table.graded
-
-
 def test_restriction_identity_on_lattice_elements():
     rng = random.Random(29)
     for _ in range(15):
@@ -188,10 +182,9 @@ def test_zero_ranks_not_stored(triangle_tail_table):
     assert all(rank > 0 for rank in triangle_tail_table.graded.values())
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_face_cap_error_carries_finished_entries(three_brooms, three_brooms_table, threads):
+def test_face_cap_error_carries_finished_entries(three_brooms, three_brooms_table):
     with pytest.raises(SizeLimitExceeded) as e:
-        betti_table(three_brooms, threads=threads, face_cap=5)
+        betti_table(three_brooms, face_cap=5)
     partial = e.value.partial
     assert any(i >= 1 for i, _ in partial)
     assert partial.items() <= three_brooms_table.multigraded.items()

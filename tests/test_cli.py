@@ -55,12 +55,6 @@ def test_betti_prime_field(capsys):
     assert out == TABLE_A_M2 + "\n"
 
 
-def test_betti_threads_byte_identical(capsys):
-    _, seq_out, _ = run(capsys, "betti", "--gens", GENS_B)
-    _, par_out, _ = run(capsys, "betti", "--gens", GENS_B, "--threads", "4")
-    assert seq_out == par_out
-
-
 def test_input_file_matches_gens(capsys, tmp_path):
     f = tmp_path / "ideal.txt"
     f.write_text("x y\ny z\nz u\n")

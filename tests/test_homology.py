@@ -17,7 +17,7 @@ from sqfbetti import (
     reduced_homology_ranks,
     taylor_faces_below,
 )
-from sqfbetti.errors import ParseError, SizeLimitExceeded
+from sqfbetti.errors import ParseError, SizeLimitExceeded, SqfBettiError
 from sqfbetti.homology import faces_by_dimension
 
 from conftest import mk, random_sqf_ideal
@@ -34,6 +34,18 @@ def closure(masks):
                 break
             sub = (sub - 1) & m
     return FaceSet(out)
+
+
+def is_downward_closed(faces):
+    """Every face minus any one vertex is again a face."""
+    for f in faces.faces:
+        rest = f
+        while rest:
+            low = rest & -rest
+            if f ^ low not in faces.faces:
+                return False
+            rest ^= low
+    return True
 
 
 def test_field_spec_parsing():
@@ -58,6 +70,13 @@ def test_void_versus_empty_face():
     ranks = reduced_homology_ranks(point)
     assert ranks.face_counts == {-1: 1}
     assert ranks.h(-1) == 1
+    assert point.dimension() == -1
+
+
+def test_void_has_no_dimension():
+    with pytest.raises(SqfBettiError, match="Void"):
+        FaceSet.void().dimension()
+    assert repr(FaceSet.void()) == "FaceSet.void()"
 
 
 def test_contractible_simplex():
@@ -163,7 +182,8 @@ def test_euler_characteristic_identity():
 
 def test_downward_closed(path3):
     faces = taylor_faces_below(path3, path3.top())
-    assert faces.is_downward_closed()
+    assert is_downward_closed(faces)
+    assert not is_downward_closed(FaceSet([0, 0b11]))
 
 
 def test_matrix_rank_small_cases():
@@ -286,3 +306,44 @@ def test_boundary_ranks_match_fraction_oracle(seed):
         for d in range(max(groups) + 1):
             dense = boundary_matrix(groups[d - 1], groups[d])
             assert ranks.r(d) == rank_oracle(dense.tolist(), p)
+
+
+# the 6-vertex real projective plane: its facets are the ten triples of
+# {1..6} that are not minimal nonfaces of RP2_6 in test_betti.py
+RP2_6_FACETS = tuple(
+    sum(1 << (v - 1) for v in triple)
+    for triple in (
+        (1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 5),
+        (2, 3, 4), (2, 3, 5), (2, 5, 6), (3, 4, 6), (4, 5, 6),
+    )
+)
+
+
+@st.composite
+def facet_closures(draw):
+    # downward closures of random facet sets on at most 7 vertices: mixed
+    # dimensions and several components, beyond the Taylor complexes above
+    n = draw(st.integers(1, 7))
+    facets = draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=8))
+    return closure(facets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(facet_closures())
+@example(closure(RP2_6_FACETS))
+@example(closure([0b1111111]))  # the full 6-simplex: acyclic, most columns cleared
+def test_cleared_ranks_match_dense_oracle(faces):
+    groups = faces_by_dimension(faces)
+    for field, p in ORACLE_FIELDS[:3]:
+        ranks = reduced_homology_ranks(faces, field)
+        for d in range(max(groups) + 1):
+            dense = boundary_matrix(groups[d - 1], groups[d])
+            assert ranks.r(d) == rank_oracle(dense.tolist(), p)
+
+
+@pytest.mark.parametrize("field, h", [(RATIONALS, 0), (FieldSpec(2), 1), (FieldSpec(3), 0)])
+def test_rp2_6_homology_depends_on_characteristic(field, h):
+    faces = closure(RP2_6_FACETS)
+    assert faces.dimension() == 2 and len(faces) == 1 + 6 + 15 + 10
+    ranks = reduced_homology_ranks(faces, field)
+    assert [ranks.h(d) for d in range(-1, 3)] == [0, 0, h, h]
