@@ -8,8 +8,7 @@ from .homology import (
     DEFAULT_FACE_CAP,
     FieldSpec,
     RATIONALS,
-    reduced_homology_ranks,
-    taylor_faces_below,
+    homology_below,
 )
 from .lattice import DEFAULT_LATTICE_CAP, build_lattice
 
@@ -63,6 +62,9 @@ def multigraded_betti(
 ) -> int:
     """beta_{i,m}(S/I): reduced homology of the Taylor faces below m.
 
+    The ranks come from homology_below, so face_cap counts the faces of
+    the collapsed complex.
+
     Zero whenever m is not a join of generators (equivalently, not an
     lcm-lattice element): only those multidegrees carry Betti numbers,
     and the homology formula reads off the rest.  i = 0 is the free rank
@@ -78,8 +80,7 @@ def multigraded_betti(
             dividing |= g.mask
     if dividing != m.mask:
         return 0
-    faces = taylor_faces_below(I, m, cap=face_cap)
-    return reduced_homology_ranks(faces, field).h(i - 2)
+    return homology_below(I, m, field, face_cap).get(i - 2, 0)
 
 
 def betti_table(
@@ -92,25 +93,23 @@ def betti_table(
 
     Only lattice elements can carry nonzero multigraded ranks, so the
     iteration is over LCM(I) rather than all 2^n square-free monomials.
-    If a complex exceeds face_cap, the SizeLimitExceeded carries the
-    multigraded entries (i, m) -> rank of the multidegrees finished
-    before it.
+    face_cap bounds the faces built for one multidegree, which are those
+    left after collapsing (see homology_below), never more than the
+    Taylor faces below m.  If a complex exceeds it, the
+    SizeLimitExceeded carries the multigraded entries (i, m) -> rank of
+    the multidegrees finished before it.
     """
     lat = build_lattice(I, cap=lattice_cap)
-    q = len(I.gens)
     multigraded = {(0, SqfMonomial.one()): 1}
     for m in lat.elements:
         if m.is_one:
             continue
         try:
-            faces = taylor_faces_below(I, m, cap=face_cap)
+            homology = homology_below(I, m, field, face_cap)
         except SizeLimitExceeded as e:
             raise SizeLimitExceeded(str(e), partial=multigraded) from None
-        ranks = reduced_homology_ranks(faces, field)
-        for i in range(1, q + 1):
-            rank = ranks.h(i - 2)
-            if rank:
-                multigraded[(i, m)] = rank
+        for d, rank in homology.items():
+            multigraded[(d + 2, m)] = rank
     graded: dict[tuple[int, int], int] = {}
     for (i, m), rank in multigraded.items():
         key = (i, m.degree)

@@ -10,7 +10,7 @@ facet complex dictionary).
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyInput,
@@ -488,13 +488,3 @@ def parse_ideal(text: str, wide: bool = False) -> MonomialIdeal:
     if stripped.startswith("{"):
         return parse_ideal_json(stripped, wide=wide)
     return parse_ideal_text(text, wide=wide)
-
-
-def iter_submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask

@@ -1,12 +1,38 @@
 """Taylor subcomplexes below a multidegree and exact reduced homology.
 
-The chain complexes here are small but their ranks must be exact.  Each
-boundary map is built as sparse columns of +-1 entries and reduced by
-one elimination routine in Python integers, with unit pivots
-subtracting in place: exact over the rationals, and modulo p over a
-prime field.  The maps are reduced from the top dimension down with
-clearing (Chen-Kerber, "Persistent homology computation with a twist",
-2011), so columns already known to be dependent are never built.
+Betti numbers need the reduced homology of the Taylor faces below an
+lcm-lattice element m: the sets of generators whose lcm strictly
+divides m.  Write r_g = m minus g for a generator g | m.  A set G has
+lcm below m iff the r_g of G share a variable, so the complex is the
+union over the variables x of the simplices D_x = {g : x in r_g}.
+homology_below collapses it on these rows before building any face,
+applying three rules until none fires:
+
+A. Drop a variable x when some variable y != x lies in every row that
+   holds x: D_x is a face of D_y, so the union is unchanged.
+B. Drop a row contained in another row, and all but one of equal rows:
+   that generator is dominated, and deleting a dominated vertex is a
+   strong collapse (Barmak-Minian, "Strong homotopy types, nerves and
+   collapses", 2012), which keeps the homotopy type.
+C. If a variable lies in every row but r_a, the complex without a is a
+   simplex, so the complex is homotopy equivalent to the suspension of
+   the link of a: remove a, intersect every other row with r_a, and
+   raise the degree shift by one.
+
+The rules are combinatorial and hold over every field; for most
+multidegrees they leave one row, a point or {empty face}, and no
+linear algebra is left (a collapse in the spirit of discrete Morse
+theory for the Taylor resolution, Batzies-Welker, "Discrete Morse
+theory for cellular resolutions", 2002).
+
+What is left, and the uncollapsed complexes of taylor_faces_below, are
+eliminated exactly.  Each boundary map is built as sparse columns of
++-1 entries and reduced by one elimination routine in Python integers,
+with unit pivots subtracting in place: exact over the rationals, and
+modulo p over a prime field.  The maps are reduced from the top
+dimension down with clearing (Chen-Kerber, "Persistent homology
+computation with a twist", 2011), so columns already known to be
+dependent are never built.
 """
 
 from __future__ import annotations
@@ -180,27 +206,119 @@ def taylor_faces_below(
     """
     if m.is_one:
         return FaceSet.void()
-    target = m.mask
-    div = [i for i, g in enumerate(I.gens) if g.divides(m)]
-    faces = [0]
-    layer = [(0, -1, 0)]  # (face mask, last position in div, lcm mask)
+    rows = [(i, m.mask & ~g.mask) for i, g in enumerate(I.gens) if g.divides(m)]
+    return FaceSet(f for layer in _grow_faces(rows, cap) for f in layer)
+
+
+def _grow_faces(rows: Sequence[tuple[int, int]], cap: int) -> list[list[int]]:
+    """Faces of the union of the simplices D_x = {v : x in row of v}.
+
+    rows lists (vertex, variable mask) in ascending vertex order; a set
+    of vertices is a face iff its rows share a variable, and the empty
+    face shares them all.  For the Taylor faces below m != 1 the row of
+    a generator g is m minus g, so a shared variable is one that the
+    lcm misses.  A set that shares none is pruned with its supersets.
+    layers[k] lists the k-vertex faces as vertex masks, grown one vertex
+    at a time; more than cap faces in all raise SizeLimitExceeded.
+    """
+    layers = [[0]]
+    layer = [(0, -1, -1)]  # (face mask, last position in rows, shared variables)
+    count = 1
     while layer:
         grown = []
-        for fmask, last, lc in layer:
-            for pos in range(last + 1, len(div)):
-                gi = div[pos]
-                lc2 = lc | I.gens[gi].mask
-                if lc2 == target:
-                    continue  # supersets can only stay at m
-                nf = fmask | 1 << gi
-                faces.append(nf)
-                if len(faces) > cap:
-                    raise SizeLimitExceeded(
-                        f"face count exceeds cap {cap}", partial=None
-                    )
-                grown.append((nf, pos, lc2))
+        for fmask, last, common in layer:
+            for pos in range(last + 1, len(rows)):
+                v, row = rows[pos]
+                shared = common & row
+                if shared:
+                    grown.append((fmask | 1 << v, pos, shared))
+            if count + len(grown) > cap:
+                raise SizeLimitExceeded(f"face count exceeds cap {cap}", partial=None)
+        if grown:
+            count += len(grown)
+            layers.append([f for f, _, _ in grown])
         layer = grown
-    return FaceSet(faces)
+    return layers
+
+
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The distinct masks that no other mask strictly contains.
+
+    Masks are tried largest first, so a mask is kept iff no kept mask
+    contains it; of equal masks one is kept.
+    """
+    kept: list[int] = []
+    for a in sorted(set(masks), key=int.bit_count, reverse=True):
+        for b in kept:
+            if a & b == a:
+                break
+        else:
+            kept.append(a)
+    return kept
+
+
+def homology_below(
+    I: MonomialIdeal,
+    m: SqfMonomial,
+    field: FieldSpec = RATIONALS,
+    cap: int = DEFAULT_FACE_CAP,
+) -> dict[int, int]:
+    """Nonzero reduced homology ranks {d: h_d} of the Taylor faces below m.
+
+    The same ranks as reduced_homology_ranks(taylor_faces_below(I, m)),
+    computed from a collapsed model.  The complex is the union of the
+    simplices D_x over the rows r_g = m minus g of the generators g | m.
+    The three rules of the module docstring run until none fires; only
+    what is left is grown and eliminated, and cap counts its faces.
+    m = 1 gives the Void complex: no homology at all.
+    """
+    if m.is_one:
+        return {}
+    rows = [m.mask & ~g.mask for g in I.gens if g.divides(m)]
+    shift = 0
+    while True:
+        rows = _maximal(rows)  # B: dominated generators
+        if len(rows) < 2:
+            break
+        # B left no row 0, so each a below is a vertex; A empties no row
+        holders: dict[int, int] = {}  # variable -> mask of the rows holding it
+        for a, ra in enumerate(rows):
+            while ra:
+                x = ra & -ra
+                ra ^= x
+                holders[x] = holders.get(x, 0) | 1 << a
+        # C: a variable in every row but r_a makes del(a) a simplex, and
+        # the complex the suspension of link(a)
+        full = (1 << len(rows)) - 1
+        missing = next(
+            (full ^ c for c in holders.values() if (full ^ c).bit_count() == 1), 0
+        )
+        if missing:
+            ra = rows.pop(missing.bit_length() - 1)
+            rows = [rb & ra for rb in rows]
+            shift += 1
+            continue
+        owner: dict[int, int] = {}  # one variable for each distinct column
+        for x, c in holders.items():
+            owner.setdefault(c, x)
+        kept = _maximal(owner)  # A: dominated variables
+        if len(kept) == len(holders):
+            break
+        keep = 0
+        for c in kept:
+            keep |= owner[c]
+        rows = [ra & keep for ra in rows]
+    if len(rows) < 2:
+        # {empty face} when the row is 0 or there is none, else a cone
+        return {shift - 1: 1} if not rows or not rows[0] else {}
+    layers = _grow_faces(list(enumerate(rows)), cap)
+    ranks = _boundary_ranks(layers, field.p)
+    out = {}
+    for k, layer in enumerate(layers):
+        h = len(layer) - ranks.get(k - 1, 0) - ranks.get(k, 0)
+        if h:
+            out[k - 1 + shift] = h
+    return out
 
 
 def boundary_matrix(
@@ -268,13 +386,8 @@ def reduced_homology_ranks(
         return ChainComplexRanks({}, {}, {}, field)
     groups = faces_by_dimension(faces)
     face_counts = {d: len(g) for d, g in groups.items()}
-    boundary_ranks: dict[int, int] = {}
     top = max(groups)
-    cleared: dict[int, dict[int, int]] = {}
-    for d in range(top, -1, -1):
-        kept = [f for j, f in enumerate(groups[d]) if j not in cleared]
-        cleared = _reduce_columns(_boundary_columns(groups[d - 1], kept), field.p)
-        boundary_ranks[d] = len(cleared)
+    boundary_ranks = _boundary_ranks([groups[d] for d in range(-1, top + 1)], field.p)
     homology = {}
     for d in range(-1, top + 1):
         homology[d] = (
@@ -283,6 +396,22 @@ def reduced_homology_ranks(
             - boundary_ranks.get(d + 1, 0)
         )
     return ChainComplexRanks(face_counts, boundary_ranks, homology, field)
+
+
+def _boundary_ranks(layers: Sequence[list[int]], p: int | None) -> dict[int, int]:
+    """Rank r_d of each boundary map, reduced for d = top, ..., 0.
+
+    layers[k] lists the k-vertex faces, those of dimension k - 1.  The
+    index of a face in its layer is its column in one map and its row
+    in the next; clearing needs no other condition on the order.
+    """
+    ranks: dict[int, int] = {}
+    cleared: dict[int, dict[int, int]] = {}
+    for k in range(len(layers) - 1, 0, -1):
+        kept = [f for j, f in enumerate(layers[k]) if j not in cleared]
+        cleared = _reduce_columns(_boundary_columns(layers[k - 1], kept), p)
+        ranks[k - 1] = len(cleared)
+    return ranks
 
 
 # ---------------------------------------------------------------------------

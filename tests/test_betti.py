@@ -182,13 +182,20 @@ def test_zero_ranks_not_stored(triangle_tail_table):
     assert all(rank > 0 for rank in triangle_tail_table.graded.values())
 
 
-def test_face_cap_error_carries_finished_entries(three_brooms, three_brooms_table):
+def test_face_cap_error_carries_finished_entries(star_cluster, star_cluster_table):
     with pytest.raises(SizeLimitExceeded) as e:
-        betti_table(three_brooms, face_cap=5)
+        betti_table(star_cluster, face_cap=5)
     partial = e.value.partial
     assert any(i >= 1 for i, _ in partial)
-    assert partial.items() <= three_brooms_table.multigraded.items()
-    assert len(partial) < len(three_brooms_table.multigraded)
+    assert partial.items() <= star_cluster_table.multigraded.items()
+    assert len(partial) < len(star_cluster_table.multigraded)
+
+
+def test_face_cap_counts_collapsed_faces(three_brooms, three_brooms_table):
+    # every three_brooms complex collapses to at most 5 faces, although its
+    # Taylor complexes exceed that cap (test_homology.py::test_face_cap)
+    table = betti_table(three_brooms, face_cap=5)
+    assert table.multigraded == three_brooms_table.multigraded
 
 
 # Stanley-Reisner ideal of the 6-vertex real projective plane

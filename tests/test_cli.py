@@ -13,6 +13,7 @@ from test_betti import TABLE_A_M2
 GENS_A = "x*y, y*z, x*z, z*a, a*b, b*c"
 GENS_B = "a*x,a*y,b*z,b*v,b*w,c*u,c*g,y*z,a*z"
 GENS_PATH = "x*y, y*z, z*u"
+GENS_STAR = "a*b*c,b*c*d,c*d*f,d*e*f,e*g,f*g,g*h,h*i,g*i,f*i,g*x,g*y"
 
 
 def schema(name: str) -> dict:
@@ -484,7 +485,7 @@ def test_exit_codes(capsys, monkeypatch):
 
 
 def test_face_cap_exit_reports_partial(capsys):
-    code, out, err = run(capsys, "betti", "--face-cap", "5", "--gens", GENS_B)
+    code, out, err = run(capsys, "betti", "--face-cap", "5", "--gens", GENS_STAR)
     assert code == 2
     assert out == ""
     assert re.search(r"^partial: [1-9]\d* results", err, re.M)

@@ -24,7 +24,6 @@ from sqfbetti import (
     polarize,
     restrict_monomial,
 )
-from sqfbetti.core import iter_submasks
 from sqfbetti.errors import (
     EmptyInput,
     NotAFacet,
@@ -234,19 +233,6 @@ def test_json_roundtrip(triangle_tail):
 
 def test_parse_autodetects_format(path3):
     assert parse_ideal("x y\ny z\nz u") == path3
-
-
-def test_iter_submasks():
-    subs = sorted(iter_submasks(0b101))
-    assert subs == [0b000, 0b001, 0b100, 0b101]
-
-
-@given(st.integers(min_value=0, max_value=2**16 - 1))
-def test_submask_count_is_power_of_two(mask):
-    subs = list(iter_submasks(mask))
-    assert len(subs) == 1 << mask.bit_count()
-    assert len(set(subs)) == len(subs)
-    assert all(s | mask == mask for s in subs)
 
 
 @given(

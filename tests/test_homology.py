@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ from sqfbetti import (
     FieldSpec,
     SqfMonomial,
     boundary_matrix,
+    build_lattice,
     matrix_rank,
+    parse_ideal_text,
     reduced_homology_ranks,
     taylor_faces_below,
 )
 from sqfbetti.errors import ParseError, SizeLimitExceeded, SqfBettiError
-from sqfbetti.homology import faces_by_dimension
+from sqfbetti import homology
+from sqfbetti.homology import faces_by_dimension, homology_below
 
 from conftest import mk, random_sqf_ideal
 
@@ -347,3 +351,95 @@ def test_rp2_6_homology_depends_on_characteristic(field, h):
     assert faces.dimension() == 2 and len(faces) == 1 + 6 + 15 + 10
     ranks = reduced_homology_ranks(faces, field)
     assert [ranks.h(d) for d in range(-1, 3)] == [0, 0, h, h]
+
+
+# the collapsed model of homology_below against the Taylor complex itself
+
+COLLAPSE_FIELDS = [RATIONALS, FieldSpec(2), FieldSpec(3)]
+
+
+def taylor_homology(I, m, field):
+    ranks = reduced_homology_ranks(taylor_faces_below(I, m), field)
+    return {d: h for d, h in ranks.homology_ranks.items() if h}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(0)  # has two variables with equal columns below some m
+def test_collapse_matches_taylor_complex(seed):
+    I = random_sqf_ideal(random.Random(seed), max_vars=10, max_gens=10)
+    for m in build_lattice(I).elements:
+        for field in COLLAPSE_FIELDS:
+            assert homology_below(I, m, field) == taylor_homology(I, m, field)
+
+
+@pytest.fixture
+def eliminated(monkeypatch):
+    """The row counts of the complexes that reach the face grower.
+
+    taylor_faces_below grows its faces there too, so a test reads this
+    before it calls the oracle.
+    """
+    calls = []
+    grow = homology._grow_faces
+
+    def recording(rows, cap):
+        calls.append(len(rows))
+        return grow(rows, cap)
+
+    monkeypatch.setattr(homology, "_grow_faces", recording)
+    return calls
+
+
+def test_collapse_at_a_generator(three_brooms, eliminated):
+    # only g divides m = g, and {g} reaches m: the complex is {empty face}
+    for g in three_brooms.gens:
+        assert homology_below(three_brooms, g) == {-1: 1}
+    assert homology_below(three_brooms, SqfMonomial.one()) == {}
+    assert eliminated == []
+
+
+def test_collapse_of_a_cone(path3, eliminated):
+    # below xyzu the faces form the path xy - yz - zu: x and z are
+    # dominated, then the middle row contains both others
+    assert homology_below(path3, path3.top()) == {}
+    assert eliminated == []
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_collapse_of_private_variables(k, eliminated):
+    # k generators p_i * s: every proper subset stays below the top, the
+    # boundary of a (k-1)-simplex, and each peel of rule C drops one vertex
+    I = parse_ideal_text("\n".join(f"p{i} s" for i in range(k)))
+    for field in COLLAPSE_FIELDS:
+        assert homology_below(I, I.top(), field) == {k - 2: 1}
+    assert eliminated == []
+
+
+def test_rp2_6_is_not_collapsed(eliminated):
+    # its minimal nonfaces are the ten triples that are not facets; no
+    # rule fires on them, so the characteristic shows in the elimination
+    nonfaces = [
+        " ".join(f"x{v + 1}" for v in t)
+        for t in combinations(range(6), 3)
+        if sum(1 << v for v in t) not in RP2_6_FACETS
+    ]
+    I = parse_ideal_text("\n".join(nonfaces))
+    assert homology_below(I, I.top(), RATIONALS) == {}
+    assert homology_below(I, I.top(), FieldSpec(2)) == {1: 1, 2: 1}
+    assert homology_below(I, I.top(), FieldSpec(3)) == {}
+    assert eliminated == [10, 10, 10]
+
+
+def test_cycle12_eliminates_only_its_top(eliminated):
+    I = parse_ideal_text("\n".join(f"x{i} x{(i + 1) % 12}" for i in range(12)))
+    reached = []
+    for m in build_lattice(I).elements:
+        before = len(eliminated)
+        homology_below(I, m)
+        if len(eliminated) > before:
+            reached.append(m)
+    assert reached == [I.top()]
+    assert eliminated == [12]
+    assert homology_below(I, I.top()) == {6: 2}
+    assert taylor_homology(I, I.top(), RATIONALS) == {6: 2}
