@@ -12,7 +12,6 @@ from .betti import BettiTable, betti_table, t_max
 from .core import MonomialIdeal, SqfMonomial
 from .errors import OutOfRange
 from .homology import RATIONALS, FieldSpec
-from .lattice import LcmLattice, build_lattice, is_lattice_complement
 
 
 class SubadditivityReport:
@@ -73,10 +72,9 @@ def verify_subadditivity(
             violations.append((a, b))
     witnesses: dict = {}
     if with_witnesses:
-        lattice = build_lattice(I)
         for a, b in pairs:
             witnesses[(a + b, a, b)] = search_complement_witnesses(
-                I, a + b, a, b, field=field, table=table, lattice=lattice
+                I, a + b, a, b, field=field, table=table
             )
     return SubadditivityReport(I, field, pd, dict(table.t), violations, witnesses)
 
@@ -89,33 +87,34 @@ def search_complement_witnesses(
     field: FieldSpec = RATIONALS,
     all_pairs: bool = False,
     table: BettiTable | None = None,
-    lattice: LcmLattice | None = None,
 ) -> list[tuple[SqfMonomial, SqfMonomial]]:
     """Complement pairs (m, m2) with beta_{a,m} >= 1 and beta_{b,m2} >= 1.
 
-    The scan is exhaustive over the lcm lattice, ordered by increasing
-    degree then support of m (then of m2), and stops at the first hit
-    unless all_pairs is set.  Only elements with beta_{b,m2} != 0 are
-    tried as m2.
+    The candidates are the table's nonzero entries in degrees a and b,
+    which lie in the lcm lattice, so the scan is exhaustive over it.  It
+    runs in lattice order, by increasing degree then support of m (then
+    of m2), and stops at the first hit unless all_pairs is set.
     """
     if a + b != i:
         raise OutOfRange(f"need a + b = i, got {a} + {b} != {i}")
     if a < 1 or b < 1:
         raise OutOfRange("witness degrees must be positive")
-    if lattice is None:
-        lattice = build_lattice(I)
     if table is None:
         table = betti_table(I, field=field)
+
+    def nonzero_in(degree: int) -> list[SqfMonomial]:
+        found = [
+            m for (d, m), rank in table.multigraded.items() if d == degree and rank
+        ]
+        return sorted(found, key=SqfMonomial.sort_key)
+
     full = I.vars.full_mask
-    right = [m2 for m2 in lattice.elements if table.multigraded.get((b, m2), 0)]
+    right = nonzero_in(b)
     out = []
-    for m in lattice.elements:
-        if not table.multigraded.get((a, m), 0):
-            continue
+    for m in nonzero_in(a):
         for m2 in right:
             if m.mask | m2.mask != full or I.contains(m.gcd(m2)):
                 continue
-            assert is_lattice_complement(I, m, m2, lattice=lattice)
             out.append((m, m2))
             if not all_pairs:
                 return out

@@ -13,7 +13,7 @@ permutation of the bouquets.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .betti import BettiTable, betti_table, multigraded_betti, t_max
 from .core import (
@@ -22,6 +22,7 @@ from .core import (
     SqfMonomial,
     facet_ideal,
     format_monomial,
+    private_bits,
 )
 from .covers import DEFAULT_SEARCH_BUDGET
 from .errors import (
@@ -145,12 +146,7 @@ def is_bouquet(delta: SimplicialComplex, facets: Iterable) -> BouquetCheck:
     if not root:
         return BouquetCheck(False, reason="facets have empty common intersection")
     witnesses = []
-    for k, m in enumerate(masks):
-        others = 0
-        for j, o in enumerate(masks):
-            if j != k:
-                others |= o
-        free = m & ~others
+    for k, free in enumerate(private_bits(masks)):
         if not free:
             name = format_monomial(delta.facets[indices[k]], delta.vars)
             return BouquetCheck(
@@ -269,45 +265,27 @@ def outside_condition(
     return True
 
 
+def _representative_systems(
+    bouquets: Sequence[Bouquet], cache: _DistanceCache
+) -> Iterator[tuple[int, ...]]:
+    """Pairwise 3-disjoint representative choices, in lexicographic order."""
+
+    def extend(chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if len(chosen) == len(bouquets):
+            yield chosen
+            return
+        for r in sorted(bouquets[len(chosen)].facets):
+            if all(r != c and cache.three_disjoint(r, c) for c in chosen):
+                yield from extend(chosen + (r,))
+
+    return extend(())
+
+
 def representative_systems(
     delta: SimplicialComplex, bouquets: Sequence[Bouquet]
 ) -> list[tuple[int, ...]]:
     """All pairwise 3-disjoint representative choices, lexicographic."""
-    cache = _DistanceCache(delta)
-    out: list[tuple[int, ...]] = []
-
-    def extend(k: int, chosen: list[int]) -> None:
-        if k == len(bouquets):
-            out.append(tuple(chosen))
-            return
-        for r in sorted(bouquets[k].facets):
-            if all(r != c and cache.three_disjoint(r, c) for c in chosen):
-                chosen.append(r)
-                extend(k + 1, chosen)
-                chosen.pop()
-
-    extend(0, [])
-    return out
-
-
-def _first_representative_system(
-    delta: SimplicialComplex,
-    bouquets: Sequence[Bouquet],
-    cache: _DistanceCache,
-) -> tuple[int, ...] | None:
-    def extend(k: int, chosen: list[int]):
-        if k == len(bouquets):
-            return tuple(chosen)
-        for r in sorted(bouquets[k].facets):
-            if all(r != c and cache.three_disjoint(r, c) for c in chosen):
-                chosen.append(r)
-                hit = extend(k + 1, chosen)
-                chosen.pop()
-                if hit is not None:
-                    return hit
-        return None
-
-    return extend(0, [])
+    return list(_representative_systems(bouquets, _DistanceCache(delta)))
 
 
 def build_bouquet_set(
@@ -334,9 +312,8 @@ def build_bouquet_set(
         for j in range(i + 1, len(bouquets)):
             if bouquets[i].vertex_mask & bouquets[j].vertex_mask:
                 raise InvalidBouquetSet(f"bouquets {i} and {j} share a vertex")
-    cache = _DistanceCache(delta)
     if representatives is None:
-        reps = _first_representative_system(delta, bouquets, cache)
+        reps = next(_representative_systems(bouquets, _DistanceCache(delta)), None)
         if reps is None:
             raise InvalidBouquetSet("no pairwise 3-disjoint representative system")
     else:
@@ -365,19 +342,9 @@ def _candidate_bouquets(
     masks = [f.mask for f in delta.facets]
     found: list[tuple[tuple[int, ...], int]] = []
 
-    def has_free_vertices(subset: tuple[int, ...]) -> bool:
-        for k in subset:
-            others = 0
-            for j in subset:
-                if j != k:
-                    others |= masks[j]
-            if not masks[k] & ~others:
-                return False
-        return True
-
     def grow(subset: tuple[int, ...], common: int, union: int, start: int) -> None:
         spend()
-        if subset and has_free_vertices(subset):
+        if subset and all(private_bits([masks[k] for k in subset])):
             found.append((subset, union))
         for nxt in range(start, n):
             c = common & masks[nxt]
@@ -434,17 +401,11 @@ def _greedy_family(delta: SimplicialComplex) -> list[tuple[int, ...]] | None:
             continue
         subset = [i for i in star[v] if not masks[i] & covered]
         while subset:
-            worst = None
-            for k in subset:
-                others = 0
-                for j in subset:
-                    if j != k:
-                        others |= masks[j]
-                if not masks[k] & ~others:
-                    worst = k
-            if worst is None:
+            private = private_bits([masks[i] for i in subset])
+            lost = [i for i, p in zip(subset, private) if not p]
+            if not lost:
                 break
-            subset.remove(worst)
+            subset.remove(lost[-1])
         if not subset:
             return None
         family.append(tuple(sorted(subset)))
@@ -478,7 +439,7 @@ def contains_strongly_disjoint_set(
             bouquets.append(check.bouquet)
         if not outside_condition(delta, bouquets):
             return None
-        reps = _first_representative_system(delta, bouquets, cache)
+        reps = next(_representative_systems(bouquets, cache), None)
         if reps is None:
             return None
         return BouquetSet(delta, tuple(bouquets), reps, True, True)

@@ -10,6 +10,7 @@ to the library defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -74,9 +75,9 @@ def _positive(name: str, value: int) -> int:
     return value
 
 
-def _budget(flag_value: int | None, env_name: str, default: int) -> int:
+def _budget(flag: str, flag_value: int | None, env_name: str, default: int) -> int:
     if flag_value is not None:
-        return _positive("budget", flag_value)
+        return _positive(flag, flag_value)
     raw = os.environ.get(env_name)
     if raw is None:
         return default
@@ -580,7 +581,9 @@ def _cmd_homology(args, I: MonomialIdeal, field: FieldSpec) -> int:
 # parser assembly and entry point
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # parse_args leaves the parser unchanged, so one serves every call
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "-i",
@@ -714,11 +717,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.format == "m2" and args.run is not _cmd_betti:
             raise ParseError("--format m2 only applies to the betti subcommand")
         args.lattice_cap_value = _budget(
-            args.lattice_cap, ENV_LATTICE_CAP, DEFAULT_LATTICE_CAP
+            "--lattice-cap", args.lattice_cap, ENV_LATTICE_CAP, DEFAULT_LATTICE_CAP
         )
-        args.face_cap_value = _budget(args.face_cap, ENV_FACE_CAP, DEFAULT_FACE_CAP)
+        args.face_cap_value = _budget(
+            "--face-cap", args.face_cap, ENV_FACE_CAP, DEFAULT_FACE_CAP
+        )
         args.search_budget_value = _budget(
-            args.search_budget, ENV_SEARCH_BUDGET, DEFAULT_SEARCH_BUDGET
+            "--search-budget",
+            args.search_budget,
+            ENV_SEARCH_BUDGET,
+            DEFAULT_SEARCH_BUDGET,
         )
         field = FieldSpec.parse(args.field)
         I = _load_ideal(args)

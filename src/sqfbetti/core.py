@@ -10,6 +10,7 @@ facet complex dictionary).
 from __future__ import annotations
 
 import json
+import re
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -21,6 +22,9 @@ from .errors import (
 )
 
 MAX_NARROW_VARS = 64
+
+# a plain identifier, optionally with the "(k)" suffix that polarize adds
+_VARIABLE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\([0-9]+\))?")
 
 
 def _indices_of(mask: int) -> tuple[int, ...]:
@@ -365,14 +369,20 @@ def restrict_monomial(
     return SqfMonomial(dst.mask_of(src.names[i] for i in m.indices()))
 
 
+def private_bits(masks: Sequence[int]) -> list[int]:
+    """Each mask minus the union of the others: the bits only it has."""
+    once = twice = 0  # the bits seen at least once, and at least twice
+    for m in masks:
+        twice |= once & m
+        once |= m
+    return [m & ~twice for m in masks]
+
+
 def free_vertices(delta: SimplicialComplex, f) -> frozenset[int]:
     """Vertices of facet f lying in no other facet of the complex."""
     i = delta.facet_index(f)
-    others = 0
-    for j, g in enumerate(delta.facets):
-        if j != i:
-            others |= g.mask
-    return frozenset(_indices_of(delta.facets[i].mask & ~others))
+    private = private_bits([g.mask for g in delta.facets])
+    return frozenset(_indices_of(private[i]))
 
 
 def polarize(raw: Sequence[Mapping[str, int]], wide: bool = False) -> MonomialIdeal:
@@ -414,13 +424,15 @@ def polarize(raw: Sequence[Mapping[str, int]], wide: bool = False) -> MonomialId
 def parse_ideal_text(text: str, wide: bool = False) -> MonomialIdeal:
     """One generator per line; variables split on whitespace or '*'.
 
-    Lines starting with '#' are comments.  Variables are interned in
-    first-seen order.
+    Lines starting with '#' are comments.  A variable name is a letter or
+    '_' followed by letters, digits or '_', optionally ending in a
+    parenthesised index such as x(1); any other token is a ParseError.
+    Variables are interned in first-seen order.
     """
     names: list[str] = []
     seen: dict[str, int] = {}
     raw_gens: list[list[int]] = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -428,6 +440,8 @@ def parse_ideal_text(text: str, wide: bool = False) -> MonomialIdeal:
         indices = []
         for tok in tokens:
             if tok not in seen:
+                if not _VARIABLE_NAME.fullmatch(tok):
+                    raise ParseError(f"bad variable name {tok!r} on line {lineno}")
                 seen[tok] = len(names)
                 names.append(tok)
             indices.append(seen[tok])

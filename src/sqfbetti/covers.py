@@ -18,6 +18,7 @@ from .core import (
     SqfMonomial,
     format_monomial,
     induced_subideal,
+    private_bits,
     restrict_monomial,
 )
 from .errors import (
@@ -192,11 +193,7 @@ def is_minimal_cover(I: MonomialIdeal, cover) -> bool:
     members = sorted(cover.members if isinstance(cover, Cover) else set(cover))
     if _covered_mask(I, members) != I.vars.full_mask:
         return False
-    for i in members:
-        others = _covered_mask(I, (j for j in members if j != i))
-        if not I.gens[i].mask & ~others:
-            return False
-    return True
+    return all(private_bits([I.gens[i].mask for i in members]))
 
 
 def _witness_scan(
@@ -304,8 +301,11 @@ def find_well_ordered_covers(
     sequence from the last position backward; a placement at position
     j <= s-1 can discharge non-members, and states are memoized on the
     (remaining members, undischarged non-members) pair, which captures
-    everything the future depends on.  Exceeding the budget raises
-    SizeLimitExceeded with the covers found so far attached.
+    everything the future depends on.  With first_only each state stops
+    at its first completion, so the memo holds at most one per state and
+    the result is the first sequence of the full search.  The budget
+    counts each state searched plus each sequence completed; exceeding
+    it raises SizeLimitExceeded with the covers found so far attached.
 
     Each result is verified against the decision: minimality once per
     cover searched, and for each emitted sequence that it permutes the
@@ -325,7 +325,6 @@ def find_well_ordered_covers(
         non_members = frozenset(
             n for n in range(len(I.gens)) if n not in cover.members
         )
-        gens = I.gens
         minimal = is_minimal_cover(I, members)
 
         def verified(seq: tuple[int, ...]) -> WellOrderedCover:
@@ -344,41 +343,6 @@ def find_well_ordered_covers(
                     partial=list(results),
                 )
 
-        if first_only:
-            infeasible: set[tuple[frozenset[int], frozenset[int]]] = set()
-
-            def first(remaining: frozenset[int], unsat: frozenset[int], placed_mask: int):
-                spent()
-                if not remaining:
-                    return () if not unsat else None
-                key = (remaining, unsat)
-                if key in infeasible:
-                    return None
-                j = len(remaining)
-                for g in sorted(remaining):
-                    gmask = gens[g].mask
-                    if j <= s - 1:
-                        new_unsat = frozenset(
-                            n
-                            for n in unsat
-                            if gmask | gens[n].mask | placed_mask
-                            != gens[n].mask | placed_mask
-                        )
-                    else:
-                        new_unsat = unsat
-                    tail = first(
-                        remaining - {g}, new_unsat, placed_mask | gmask
-                    )
-                    if tail is not None:
-                        return tail + (g,)
-                infeasible.add(key)
-                return None
-
-            seq = first(frozenset(members), non_members, 0)
-            if seq is not None:
-                return [verified(seq)]
-            continue
-
         memo: dict[
             tuple[frozenset[int], frozenset[int]], tuple[tuple[int, ...], ...]
         ] = {}
@@ -396,24 +360,26 @@ def find_well_ordered_covers(
             j = len(remaining)
             out = []
             for g in sorted(remaining):
-                gmask = gens[g].mask
+                gmask = masks[g]
                 if j <= s - 1:
+                    # n stays undischarged unless m_j | lcm(n, placed members)
                     new_unsat = frozenset(
-                        n
-                        for n in unsat
-                        if gmask | gens[n].mask | placed_mask
-                        != gens[n].mask | placed_mask
+                        n for n in unsat if gmask & ~(masks[n] | placed_mask)
                     )
                 else:
                     new_unsat = unsat
                 for head in complete(remaining - {g}, new_unsat, placed_mask | gmask):
                     out.append(head + (g,))
                     spent()
+                if first_only and out:
+                    break
             memo[key] = tuple(out)
             return memo[key]
 
         for seq in complete(frozenset(members), non_members, 0):
             results.append(verified(seq))
+            if first_only:
+                return results
 
     return results
 

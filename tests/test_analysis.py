@@ -168,11 +168,11 @@ def test_witness_search_matches_full_scan():
                     and is_lattice_complement(I, m, m2, lat)
                 ]
                 got = search_complement_witnesses(
-                    I, a + b, a, b, all_pairs=True, table=table, lattice=lat
+                    I, a + b, a, b, all_pairs=True, table=table
                 )
                 assert got == full
                 first = search_complement_witnesses(
-                    I, a + b, a, b, table=table, lattice=lat
+                    I, a + b, a, b, table=table
                 )
                 assert first == full[:1]
                 hits += bool(full)

@@ -237,6 +237,30 @@ def test_search_first_only(brooms_delta):
     assert len(found) == 1
 
 
+def _family_key(bset):
+    return tuple(b.facets for b in bset.bouquets), bset.representatives
+
+
+def test_first_only_and_default_reps_agree_with_full_search():
+    rng = random.Random(53)
+    seen = 0
+    for _ in range(200):
+        delta = facet_complex(random_sqf_ideal(rng, max_vars=7, max_gens=7))
+        found = contains_strongly_disjoint_set(delta)
+        first = contains_strongly_disjoint_set(delta, first_only=True)
+        assert len(first) == min(len(found), 1)
+        if not found:
+            continue
+        seen += 1
+        assert _family_key(first[0]) in {_family_key(s) for s in found}
+        for s in found:
+            groups = [b.facets for b in s.bouquets]
+            bset = build_bouquet_set(delta, groups)
+            systems = representative_systems(delta, s.bouquets)
+            assert bset.representatives == systems[0] == s.representatives
+    assert seen >= 10
+
+
 def test_search_budget(star_delta):
     with pytest.raises(SizeLimitExceeded):
         contains_strongly_disjoint_set(star_delta, budget=3)
@@ -256,6 +280,14 @@ def test_greedy_path_returns_valid_sets(star_delta, brooms_delta):
             assert s.spans_delta and s.outside_condition_ok
             ok, _ = is_strongly_disjoint(delta, s.bouquets, s.representatives)
             assert ok
+
+
+def test_greedy_drops_the_last_facet_without_a_free_vertex():
+    # the star of a holds all three facets and none keeps a free vertex;
+    # dropping the last one leaves the bouquet {0, 1}
+    delta = facet_complex(mk("abd", "abce", "acde"))
+    found = contains_strongly_disjoint_set(delta, exhaustive_threshold=0)
+    assert [_family_key(s) for s in found] == [(((0, 1),), (0,))]
 
 
 def test_greedy_finds_paper_family_on_star(star_delta):

@@ -510,3 +510,24 @@ def test_nonpositive_budget_rejected(capsys):
     )
     assert code == 1
     assert "positive" in err
+    assert "--lattice-cap" in err
+    code, _, err = run(capsys, "betti", "--face-cap", "0", "--gens", GENS_PATH)
+    assert code == 1
+    assert "--face-cap must be positive" in err
+
+
+@pytest.mark.parametrize("gens", ["x^2 y", "x+y", "x y, y z2, 3"])
+def test_bad_variable_name_in_gens(capsys, gens):
+    code, out, err = run(capsys, "betti", "--gens", gens)
+    assert code == 1
+    assert out == ""
+    assert "bad variable name" in err
+
+
+def test_bad_variable_name_in_input_file(capsys, tmp_path):
+    f = tmp_path / "ideal.txt"
+    f.write_text("a b\nx y, y z\n")
+    code, out, err = run(capsys, "betti", "--input", str(f))
+    assert code == 1
+    assert out == ""
+    assert "'y,' on line 2" in err

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -24,6 +25,7 @@ from sqfbetti import (
     polarize,
     restrict_monomial,
 )
+from sqfbetti.core import private_bits
 from sqfbetti.errors import (
     EmptyInput,
     NotAFacet,
@@ -182,6 +184,24 @@ def test_induced_subideal_preserves_canonical_order(three_brooms):
     assert list(sub.gens) == restricted
 
 
+def test_private_bits_matches_definition():
+    rng = random.Random(29)
+    cases = [[], [0b1011]]
+    for _ in range(300):
+        pool = [rng.randrange(1 << 6) for _ in range(rng.randint(1, 4))]
+        cases.append([rng.choice(pool) for _ in range(rng.randint(1, 7))])
+    for masks in cases:
+        expect = []
+        for k, m in enumerate(masks):
+            others = 0
+            for j, o in enumerate(masks):
+                if j != k:
+                    others |= o
+            expect.append(m & ~others)
+        assert private_bits(masks) == expect, masks
+    assert private_bits([0b110, 0b110, 0b001]) == [0, 0, 0b001]
+
+
 def test_restrict_monomial_roundtrip():
     src = VariableTable(["x", "y", "z"])
     dst = VariableTable(["z", "x"])
@@ -216,6 +236,29 @@ def test_parse_text_interns_first_seen_order():
 def test_parse_text_star_separator(path3):
     J = parse_ideal_text("x*y\ny*z\nz*u")
     assert J == path3
+
+
+@pytest.mark.parametrize("text", ["x y, y z", "x^2 y", "x+y", "a b\nc 1x"])
+def test_parse_text_rejects_bad_variable_names(text):
+    with pytest.raises(ParseError, match="bad variable name .* on line"):
+        parse_ideal_text(text)
+
+
+def test_parse_text_error_names_token_and_line():
+    with pytest.raises(ParseError, match=r"'y,' on line 3"):
+        parse_ideal_text("# comment\na b\nx y, y z")
+
+
+def test_polarized_text_parses_back():
+    I = polarize([{"x": 2, "y": 1}, {"y": 3, "z_1": 1}, {"x": 1, "z_1": 2}])
+    J = parse_ideal_text(format_ideal_text(I))
+
+    def named(K):
+        return {frozenset(monomial_names(g, K.vars)) for g in K.gens}
+
+    # text lists variables by first use, so compare generators by name
+    assert named(J) == named(I)
+    assert sorted(J.vars.names) == sorted(I.vars.names)
 
 
 def test_parse_text_empty_raises():

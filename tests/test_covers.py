@@ -122,6 +122,15 @@ def test_search_budget(star_cluster):
     assert e.value.partial is not None
 
 
+def test_first_only_search_stops_each_state_early(star_cluster):
+    # each state keeps only its first completion, so the first sequence
+    # costs far fewer states than the full search (about 1.2e5 here)
+    first = find_well_ordered_covers(star_cluster, first_only=True, budget=2000)
+    assert len(first) == 1
+    with pytest.raises(SizeLimitExceeded):
+        find_well_ordered_covers(star_cluster, budget=2000)
+
+
 def test_non_cover_sequence_rejected(path3):
     check = is_well_ordered_cover(path3, (0, 1))  # xy, yz: u uncovered
     assert not check
@@ -218,6 +227,9 @@ def test_search_matches_brute_force_orderings():
         assert len(found) == len(accepted)
         assert {w.sequence: w.witnesses for w in found} == accepted
         first = find_well_ordered_covers(I, first_only=True)
+        assert [(w.sequence, w.witnesses) for w in first] == [
+            (w.sequence, w.witnesses) for w in found[:1]
+        ]
         if accepted:
             assert len(first) == 1
             assert accepted[first[0].sequence] == first[0].witnesses
