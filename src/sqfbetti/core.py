@@ -389,10 +389,13 @@ def polarize(raw: Sequence[Mapping[str, int]], wide: bool = False) -> MonomialId
     """Polarize a monomial ideal given as exponent mappings.
 
     x^e becomes x * x(1) * ... * x(e-1) over fresh variables, interned in
-    first-occurrence order.  Square-free input comes back unchanged.
+    first-occurrence order.  Square-free input comes back unchanged.  A
+    base raised to a power ParseErrors if it already ends in a "(k)"
+    suffix, or if one of its copies is spelled like a base of the input.
     """
     if not raw:
         raise EmptyInput("no generators given")
+    bases = {base for gen in raw for base in gen}
     names: list[str] = []
     seen: dict[str, int] = {}
 
@@ -409,8 +412,15 @@ def polarize(raw: Sequence[Mapping[str, int]], wide: bool = False) -> MonomialId
             if exp < 1:
                 raise ParseError(f"exponent of {base!r} must be >= 1")
             indices.append(intern(base))
+            if exp > 1 and base.endswith(")"):
+                raise ParseError(f"cannot polarize {base!r}: it ends in an index")
             for copy in range(1, exp):
-                indices.append(intern(f"{base}({copy})"))
+                name = f"{base}({copy})"
+                if name in bases:
+                    raise ParseError(
+                        f"cannot polarize {base!r}: its copy {name!r} is a variable"
+                    )
+                indices.append(intern(name))
         gen_indices.append(indices)
     vars = VariableTable(names, wide=wide or len(names) > MAX_NARROW_VARS)
     gens = [SqfMonomial.from_indices(ix) for ix in gen_indices]
@@ -473,6 +483,9 @@ def parse_ideal_json(data, wide: bool = False) -> MonomialIdeal:
         raise ParseError(f"missing key {e}") from None
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ParseError("'variables' must be a list of strings")
+    for name in names:
+        if not _VARIABLE_NAME.fullmatch(name):
+            raise ParseError(f"bad variable name {name!r}")
     vars = VariableTable(names, wide=wide)
     gens = []
     for entry in raw:

@@ -19,6 +19,16 @@ C. If a variable lies in every row but r_a, the complex without a is a
    the link of a: remove a, intersect every other row with r_a, and
    raise the degree shift by one.
 
+The rules run on plain masks.  The first rows form an antichain of
+distinct masks, because r_a lies in r_b iff g_b divides g_a and the
+generators are minimal; so B first fires after C or A has cut rows,
+and runs after each cut.  C is tried first: one pass over the rows
+keeps the variables in every row so far and those in all of them but
+one, and the latter are the variables that miss exactly one row.  The
+lowest of them that lies in row 0 names the row to peel, the one it
+misses; if none lies in row 0, row 0 is peeled.  Only when C does not
+fire are the variable columns built, for A.
+
 The rules are combinatorial and hold over every field; for most
 multidegrees they leave one row, a point or {empty face}, and no
 linear algebra is left (a collapse in the spirit of discrete Morse
@@ -267,47 +277,54 @@ def homology_below(
 
     The same ranks as reduced_homology_ranks(taylor_faces_below(I, m)),
     computed from a collapsed model.  The complex is the union of the
-    simplices D_x over the rows r_g = m minus g of the generators g | m.
-    The three rules of the module docstring run until none fires; only
-    what is left is grown and eliminated, and cap counts its faces.
+    simplices D_x over the rows r_g = m minus g of the generators g | m;
+    two or more of them form an antichain of distinct nonzero masks.
+    The three rules of the module docstring run until none fires.  C is
+    found in one pass over the rows, as the variables in all rows but
+    one, and peels the row missed by the lowest of them in row 0, or row
+    0 if none lies there; A runs only when C does not fire, and B after
+    each cut.  Only what is left is grown and eliminated, and cap counts
+    its faces.
     m = 1 gives the Void complex: no homology at all.
     """
     if m.is_one:
         return {}
-    rows = [m.mask & ~g.mask for g in I.gens if g.divides(m)]
+    top = m.mask
+    # an antichain of distinct masks, since r_a is in r_b iff g_b | g_a
+    rows = [top & ~g.mask for g in I.gens if g.mask | top == top]
     shift = 0
-    while True:
-        rows = _maximal(rows)  # B: dominated generators
-        if len(rows) < 2:
-            break
-        # B left no row 0, so each a below is a vertex; A empties no row
-        holders: dict[int, int] = {}  # variable -> mask of the rows holding it
-        for a, ra in enumerate(rows):
-            while ra:
-                x = ra & -ra
-                ra ^= x
-                holders[x] = holders.get(x, 0) | 1 << a
-        # C: a variable in every row but r_a makes del(a) a simplex, and
-        # the complex the suspension of link(a)
-        full = (1 << len(rows)) - 1
-        missing = next(
-            (full ^ c for c in holders.values() if (full ^ c).bit_count() == 1), 0
-        )
-        if missing:
-            ra = rows.pop(missing.bit_length() - 1)
+    while len(rows) > 1:
+        # no row is 0, so each a below is a vertex; A empties no row
+        every, but_one = -1, 0  # variables in every row so far, in all but one
+        for r in rows:
+            but_one = but_one & r | every & ~r
+            every &= r
+        if but_one:
+            # C: x in every row but r_a makes del(a) a simplex, and the
+            # complex the suspension of link(a); x lies in row 0 if it can
+            x = but_one & rows[0] or but_one
+            x &= -x
+            ra = rows.pop(next(a for a, r in enumerate(rows) if not r & x))
             rows = [rb & ra for rb in rows]
             shift += 1
-            continue
-        owner: dict[int, int] = {}  # one variable for each distinct column
-        for x, c in holders.items():
-            owner.setdefault(c, x)
-        kept = _maximal(owner)  # A: dominated variables
-        if len(kept) == len(holders):
-            break
-        keep = 0
-        for c in kept:
-            keep |= owner[c]
-        rows = [ra & keep for ra in rows]
+        else:
+            holders: dict[int, int] = {}  # variable -> mask of the rows holding it
+            for a, ra in enumerate(rows):
+                while ra:
+                    x = ra & -ra
+                    ra ^= x
+                    holders[x] = holders.get(x, 0) | 1 << a
+            owner: dict[int, int] = {}  # the lowest variable of each column
+            for x, c in holders.items():
+                owner.setdefault(c, x)
+            kept = _maximal(owner)  # A: dominated variables
+            if len(kept) == len(holders):
+                break
+            keep = 0
+            for c in kept:
+                keep |= owner[c]
+            rows = [ra & keep for ra in rows]
+        rows = _maximal(rows)  # B: dominated generators, after a cut
     if len(rows) < 2:
         # {empty face} when the row is 0 or there is none, else a cone
         return {shift - 1: 1} if not rows or not rows[0] else {}

@@ -12,6 +12,7 @@ from sqfbetti import (
     top_degree_check,
     verify_subadditivity,
 )
+from sqfbetti.betti import BettiTable
 from sqfbetti.errors import OutOfRange
 
 from conftest import mk, random_sqf_ideal
@@ -177,3 +178,30 @@ def test_witness_search_matches_full_scan():
                 assert first == full[:1]
                 hits += bool(full)
     assert hits >= 10
+
+
+def test_witness_order_ignores_table_insertion_order():
+    # betti_table inserts entries in lattice order; a table built in the
+    # reverse order must give the same pairs in the same order
+    I = mk(*(f"{c}{d}" for c, d in zip("abcdefghij", "bcdefghija")))
+    table = betti_table(I)
+    reverse = BettiTable(
+        I,
+        table.field,
+        dict(reversed(table.multigraded.items())),
+        table.graded,
+        table.pd,
+        table.t,
+    )
+    counts = {}
+    for a in range(1, table.pd):
+        for b in range(1, table.pd - a + 1):
+            got = search_complement_witnesses(
+                I, a + b, a, b, all_pairs=True, table=table
+            )
+            assert search_complement_witnesses(
+                I, a + b, a, b, all_pairs=True, table=reverse
+            ) == got
+            counts[(a, b)] = len(got)
+    assert counts[(1, 5)] == 10
+    assert counts[(3, 4)] == 180

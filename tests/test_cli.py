@@ -531,3 +531,14 @@ def test_bad_variable_name_in_input_file(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "'y,' on line 2" in err
+
+
+def test_bad_variable_name_in_json_input_file(capsys, tmp_path):
+    f = tmp_path / "ideal.json"
+    data = {"variables": ["x^2", "y,"], "generators": [["x^2", "y,"]]}
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, "betti", "--input", str(f))
+    assert code == 1
+    assert out == ""
+    assert "bad variable name 'x^2'" in err
+    assert "Traceback" not in err

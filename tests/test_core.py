@@ -261,6 +261,39 @@ def test_polarized_text_parses_back():
     assert sorted(J.vars.names) == sorted(I.vars.names)
 
 
+def test_polarize_rejects_a_copy_named_like_a_base():
+    # x^2 would add x(1), which the second generator already uses
+    with pytest.raises(ParseError, match=r"'x'.*'x\(1\)'"):
+        polarize([{"x": 2}, {"x(1)": 1, "y": 1}])
+    with pytest.raises(ParseError, match=r"'x'.*'x\(2\)'"):
+        polarize([{"x": 3, "x(2)": 1}])
+
+
+def test_polarize_rejects_a_power_of_a_suffixed_base():
+    # its copies would be x(1)(1), ..., outside the text grammar
+    with pytest.raises(ParseError, match=r"'x\(1\)'"):
+        polarize([{"x(1)": 2}])
+
+
+def test_polarize_format_then_parse_round_trip():
+    # y(5) is square-free, so it keeps its suffixed name
+    I = polarize([{"y": 1, "x": 2}, {"x": 1, "y": 3}, {"z": 2, "y(5)": 1}])
+    assert I.vars.names == ("y", "x", "x(1)", "y(1)", "y(2)", "z", "z(1)", "y(5)")
+    text = format_ideal_text(I)
+    assert text == "y*x*x(1)\nz*z(1)*y(5)\ny*x*y(1)*y(2)"
+    assert format_ideal_text(parse_ideal_text(text)) == text
+
+
+def test_parse_json_rejects_bad_variable_names():
+    data = {"variables": ["x^2", "y,"], "generators": [["x^2", "y,"]]}
+    with pytest.raises(ParseError, match=r"bad variable name 'x\^2'"):
+        parse_ideal_json(data)
+    with pytest.raises(ParseError, match=r"bad variable name 'y,'"):
+        parse_ideal_json({"variables": ["x", "y,"], "generators": [[0, 1]]})
+    with pytest.raises(ParseError, match="bad variable name"):
+        parse_ideal(json.dumps(data))
+
+
 def test_parse_text_empty_raises():
     with pytest.raises(EmptyInput):
         parse_ideal_text("   \n# only a comment\n")

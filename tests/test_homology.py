@@ -13,6 +13,7 @@ from sqfbetti import (
     FaceSet,
     FieldSpec,
     SqfMonomial,
+    betti_table,
     boundary_matrix,
     build_lattice,
     matrix_rank,
@@ -25,6 +26,7 @@ from sqfbetti import homology
 from sqfbetti.homology import faces_by_dimension, homology_below
 
 from conftest import mk, random_sqf_ideal
+from test_betti import RP2_6
 
 
 def closure(masks):
@@ -443,3 +445,51 @@ def test_cycle12_eliminates_only_its_top(eliminated):
     assert eliminated == [12]
     assert homology_below(I, I.top()) == {6: 2}
     assert taylor_homology(I, I.top(), RATIONALS) == {6: 2}
+
+
+# what reaches the face grower in whole tables: each call's rows as a
+# sorted tuple of variable masks, and the faces grown from them, which
+# are what face_cap counts; star_cluster reaches three remainders
+P, Q, R = ((16, 64, 256), 4), ((64, 128, 256), 4), ((80, 144, 192, 272, 384), 16)
+REMAINDERS = {
+    "star_cluster": [P, Q, R, P, Q, Q, P, Q, R, Q, R],
+    "cycle12": [
+        (
+            (1023, 2046, 2559, 3327, 3711, 3903, 3999, 4047, 4071, 4083, 4089, 4092),
+            3774,
+        )
+    ],
+    "three_brooms": [((1, 4, 16), 4)] * 4,
+    "rp2_6": [
+        ((3, 5, 10, 20, 24), 11),
+        ((3, 6, 9, 36, 40), 11),
+        ((5, 6, 17, 34, 48), 11),
+        ((9, 10, 18, 33, 48), 11),
+        ((12, 17, 20, 33, 40), 11),
+        ((12, 18, 24, 34, 36), 11),
+        ((13, 14, 19, 22, 25, 35, 37, 42, 52, 56), 152),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMAINDERS))
+def test_collapse_remainders_are_pinned(name, monkeypatch, star_cluster, three_brooms):
+    I = {
+        "star_cluster": star_cluster,
+        "cycle12": parse_ideal_text(
+            "\n".join(f"x{i} x{(i + 1) % 12}" for i in range(12))
+        ),
+        "three_brooms": three_brooms,
+        "rp2_6": parse_ideal_text("\n".join(RP2_6)),
+    }[name]
+    calls = []
+    grow = homology._grow_faces
+
+    def recording(rows, cap):
+        layers = grow(rows, cap)
+        calls.append((tuple(sorted(r for _, r in rows)), sum(map(len, layers))))
+        return layers
+
+    monkeypatch.setattr(homology, "_grow_faces", recording)
+    betti_table(I)
+    assert calls == REMAINDERS[name]
