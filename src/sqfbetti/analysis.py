@@ -12,6 +12,7 @@ from .betti import BettiTable, betti_table, t_max
 from .core import MonomialIdeal, SqfMonomial
 from .errors import OutOfRange
 from .homology import RATIONALS, FieldSpec
+from .lattice import complementary
 
 
 class SubadditivityReport:
@@ -108,16 +109,14 @@ def search_complement_witnesses(
         ]
         return sorted(found, key=SqfMonomial.sort_key)
 
-    full = I.vars.full_mask
     right = nonzero_in(b)
     out = []
     for m in nonzero_in(a):
         for m2 in right:
-            if m.mask | m2.mask != full or I.contains(m.gcd(m2)):
-                continue
-            out.append((m, m2))
-            if not all_pairs:
-                return out
+            if complementary(I, m, m2):
+                out.append((m, m2))
+                if not all_pairs:
+                    return out
     return out
 
 

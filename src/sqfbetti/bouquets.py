@@ -32,6 +32,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .homology import RATIONALS, FieldSpec
+from .lattice import complementary
 
 EXHAUSTIVE_THRESHOLD = 16
 
@@ -477,6 +478,14 @@ def contains_strongly_disjoint_set(
     return results
 
 
+def _require_theorem(bset: BouquetSet) -> None:
+    """Raise InvalidBouquetSet unless the theorem covers the family."""
+    if not bset.spans_delta:
+        raise InvalidBouquetSet("family does not span the vertex set")
+    if not bset.outside_condition_ok:
+        raise InvalidBouquetSet("family fails the outside facet condition")
+
+
 def bouquet_orderings(
     bset: BouquetSet, permutation: Sequence[int] | None = None
 ) -> tuple[int, ...]:
@@ -487,10 +496,7 @@ def bouquet_orderings(
     representative; the result is a sequence of facet indices forming a
     well ordered cover of the facet ideal.
     """
-    if not bset.spans_delta:
-        raise InvalidBouquetSet("family does not span the vertex set")
-    if not bset.outside_condition_ok:
-        raise InvalidBouquetSet("family fails the outside facet condition")
+    _require_theorem(bset)
     d = len(bset.bouquets)
     if permutation is None:
         permutation = tuple(range(d))
@@ -578,8 +584,11 @@ def bouquet_subadditivity(
     left selects bouquet positions for the first part; the rest form the
     second.  The two vertex-product monomials are lattice complements
     with nonvanishing Betti numbers in homological degrees b' and b'',
-    all of which is theorem-backed and therefore asserted.
+    all of which is theorem-backed and therefore asserted.  A family
+    the theorem does not cover, one that does not span or fails the
+    outside condition, raises InvalidBouquetSet.
     """
+    _require_theorem(bset)
     d = len(bset.bouquets)
     left_set = set(int(i) for i in left)
     if any(not 0 <= i < d for i in left_set):
@@ -603,10 +612,7 @@ def bouquet_subadditivity(
     b_left, m_left = part(left_set)
     b_right, m_right = part(right_set)
     assert m_left.gcd(m_right).is_one, "partition parts share a vertex"
-    complement_ok = (
-        m_left.mask | m_right.mask == I.vars.full_mask
-        and not I.contains(m_left.gcd(m_right))
-    )
+    complement_ok = complementary(I, m_left, m_right)
     assert complement_ok, "partition monomials failed lattice complementation"
 
     beta_left = multigraded_betti(I, b_left, m_left, field=field)

@@ -45,7 +45,7 @@ class VariableTable:
     cap just keeps accidental huge inputs from sailing through).
     """
 
-    __slots__ = ("names", "index")
+    __slots__ = ("names", "index", "full_mask")
 
     def __init__(self, names: Iterable[str], wide: bool = False):
         names = tuple(names)
@@ -58,6 +58,7 @@ class VariableTable:
             )
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
+        self.full_mask = (1 << len(names)) - 1
 
     def __len__(self) -> int:
         return len(self.names)
@@ -73,10 +74,6 @@ class VariableTable:
 
     def name(self, i: int) -> str:
         return self.names[i]
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.names)) - 1
 
     def mask_of(self, names: Iterable[str]) -> int:
         m = 0
@@ -487,16 +484,20 @@ def parse_ideal_json(data, wide: bool = False) -> MonomialIdeal:
         if not _VARIABLE_NAME.fullmatch(name):
             raise ParseError(f"bad variable name {name!r}")
     vars = VariableTable(names, wide=wide)
+    if not isinstance(raw, list):
+        raise ParseError("'generators' must be a list")
     gens = []
     for entry in raw:
         if not isinstance(entry, list):
             raise ParseError("each generator must be a list")
-        if all(isinstance(v, int) for v in entry):
+        if all(type(v) is int for v in entry):  # not bool
             if any(not 0 <= v < len(vars) for v in entry):
                 raise ParseError("generator index out of range")
             gens.append(SqfMonomial.from_indices(entry))
-        else:
+        elif all(isinstance(v, str) for v in entry):
             gens.append(SqfMonomial.from_names(vars, entry))
+        else:
+            raise ParseError("a generator must list all indices or all names")
     if not gens:
         raise EmptyInput("no generators in input")
     return normalize_generators(gens, vars)

@@ -27,6 +27,7 @@ from .errors import (
     RotationOutOfRange,
     SizeLimitExceeded,
 )
+from .lattice import complementary
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -412,9 +413,7 @@ def split_certificate(I: MonomialIdeal, woc, a: int) -> SplitCertificate:
     m = SqfMonomial(_covered_mask(I, prefix))
     m2 = SqfMonomial(_covered_mask(I, suffix))
     # both are lcms of generator subsets, hence lattice elements
-    complement_ok = (
-        m.mask | m2.mask == I.vars.full_mask and not I.contains(m.gcd(m2))
-    )
+    complement_ok = complementary(I, m, m2)
     assert complement_ok, "split halves failed lattice complementation"
 
     def translated_check(part: tuple[int, ...], target: SqfMonomial) -> bool:

@@ -50,8 +50,6 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .core import MonomialIdeal, SqfMonomial
 from .errors import ParseError, SizeLimitExceeded, SqfBettiError
 
@@ -338,22 +336,6 @@ def homology_below(
     return out
 
 
-def boundary_matrix(
-    faces_lower: Sequence[int], faces_upper: Sequence[int]
-) -> np.ndarray:
-    """Signed incidence matrix from d-faces (columns) to (d-1)-faces (rows).
-
-    Vertices inside a face are taken in ascending generator index; the
-    k-th deletion gets sign (-1)^k.  The dense form of
-    :func:`_boundary_columns`, kept for inspection and tests.
-    """
-    M = np.zeros((len(faces_lower), len(faces_upper)), dtype=np.int64)
-    for c, col in enumerate(_boundary_columns(faces_lower, faces_upper)):
-        for r, sign in col.items():
-            M[r, c] = sign
-    return M
-
-
 def _boundary_columns(
     faces_lower: Sequence[int], faces_upper: Sequence[int]
 ) -> list[dict[int, int]]:
@@ -438,12 +420,10 @@ def _boundary_ranks(layers: Sequence[list[int]], p: int | None) -> dict[int, int
 def matrix_rank(M, field: FieldSpec = RATIONALS) -> int:
     """Exact rank of an integer matrix over the chosen field.
 
-    M is a 2-d array, a list of rows, or a list of sparse columns
-    {row index: entry} as built for boundary maps.  A dense matrix is
-    reduced by its rows, which has the same rank.
+    M is a list of rows or a list of sparse columns {row index: entry}
+    as built for boundary maps.  A list of rows is reduced by its rows,
+    which has the same rank.
     """
-    if isinstance(M, np.ndarray):
-        M = M.tolist()
     vectors = [
         v if isinstance(v, dict) else {j: int(x) for j, x in enumerate(v) if x}
         for v in M

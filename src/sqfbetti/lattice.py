@@ -78,6 +78,15 @@ def build_lattice(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLattic
     return LcmLattice(I, elements, witness)
 
 
+def complementary(I: MonomialIdeal, m: SqfMonomial, m2: SqfMonomial) -> bool:
+    """lcm(m, m2) = x_1...x_n and gcd(m, m2) not in I.
+
+    The complement test without the lattice membership checks, for
+    monomials already known to lie in LCM(I).
+    """
+    return m.mask | m2.mask == I.vars.full_mask and not I.contains(m.gcd(m2))
+
+
 def is_lattice_complement(
     I: MonomialIdeal,
     m: SqfMonomial,
@@ -94,10 +103,7 @@ def is_lattice_complement(
     for x in (m, m2):
         if x not in lattice:
             raise NotInLattice(f"{x!r} is not in LCM(I)")
-    if m.mask | m2.mask != I.vars.full_mask:
-        return False
-    gcd = m.gcd(m2)
-    return not I.contains(gcd)
+    return complementary(I, m, m2)
 
 
 def enumerate_complements(
@@ -110,12 +116,7 @@ def enumerate_complements(
         lattice = build_lattice(I)
     if m not in lattice:
         raise NotInLattice(f"{m!r} is not in LCM(I)")
-    full = I.vars.full_mask
-    out = []
-    for m2 in lattice.elements:
-        if m.mask | m2.mask == full and not I.contains(m.gcd(m2)):
-            out.append(m2)
-    return out
+    return [m2 for m2 in lattice.elements if complementary(I, m, m2)]
 
 
 def hasse_pairs(lattice: LcmLattice) -> list[tuple[int, int]]:

@@ -14,7 +14,6 @@ from sqfbetti import (
     SqfMonomial,
     alpha_values,
     betti_table,
-    boundary_matrix,
     bouquet_orderings,
     bouquet_subadditivity,
     build_bouquet_set,
@@ -34,6 +33,7 @@ from sqfbetti import (
 from sqfbetti.homology import faces_by_dimension
 
 from conftest import mk, random_sqf_ideal
+from dense import boundary_matrix
 
 
 def report(n: int, detail: str) -> None:

@@ -391,6 +391,24 @@ def test_subadditivity_partition_validation(brooms_delta, three_brooms_table):
             bouquet_subadditivity(bset, bad, table=three_brooms_table)
 
 
+def test_subadditivity_rejects_families_outside_the_theorem(
+    brooms_delta, three_brooms_table
+):
+    # a*x and c*u miss the broom at b: no span, no lattice complement
+    groups = [[fid(brooms_delta, "ax")], [fid(brooms_delta, "cu")]]
+    bset = build_bouquet_set(brooms_delta, groups)
+    assert not bset.spans_delta
+    with pytest.raises(InvalidBouquetSet, match="does not span"):
+        bouquet_subadditivity(bset, [0], table=three_brooms_table)
+    # spans, but the outside facet b*c meets only half of the wing b*d
+    delta = facet_complex(mk("af", "bc", "ce", "abd"))
+    groups = [[fid(delta, "ce")], [fid(delta, "af"), fid(delta, "abd")]]
+    bset = build_bouquet_set(delta, groups)
+    assert bset.spans_delta and not bset.outside_condition_ok
+    with pytest.raises(InvalidBouquetSet, match="outside facet condition"):
+        bouquet_subadditivity(bset, [0])
+
+
 def test_found_families_yield_covers_on_randoms():
     rng = random.Random(47)
     seen = 0

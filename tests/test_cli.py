@@ -1,7 +1,11 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -14,6 +18,7 @@ GENS_A = "x*y, y*z, x*z, z*a, a*b, b*c"
 GENS_B = "a*x,a*y,b*z,b*v,b*w,c*u,c*g,y*z,a*z"
 GENS_PATH = "x*y, y*z, z*u"
 GENS_STAR = "a*b*c,b*c*d,c*d*f,d*e*f,e*g,f*g,g*h,h*i,g*i,f*i,g*x,g*y"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def schema(name: str) -> dict:
@@ -368,6 +373,36 @@ def test_bouquets_flag_validation(capsys):
     assert "--check" in err
     code, _, err = run(capsys, "bouquets", "--gens", GENS_B)
     assert code == 1
+
+
+def test_cli_runs_without_numpy():
+    # a fresh interpreter: the package and a JSON Betti run import no numpy
+    argv = ["betti", "--format", "json", "--gens", GENS_B]
+    script = (
+        "import sys, sqfbetti, sqfbetti.cli\n"
+        f"code = sqfbetti.cli.main({argv!r})\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pd"] == 7
+
+
+def test_bouquets_subadd_rejects_a_family_that_does_not_span(capsys):
+    code, out, err = run(
+        capsys, "bouquets", "--check", "a*x;c*u", "--subadd", "0", "--gens", GENS_B
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "does not span" in err
 
 
 def test_subadd_full_json(capsys):

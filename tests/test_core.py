@@ -294,6 +294,24 @@ def test_parse_json_rejects_bad_variable_names():
         parse_ideal(json.dumps(data))
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"variables": ["x"], "generators": 5},
+        {"variables": ["x"], "generators": None},
+        {"variables": ["x"], "generators": [[["x"]]]},
+        {"variables": ["x", "y"], "generators": [[{"a": 1}]]},
+        {"variables": ["x", "y"], "generators": [[True]]},
+        {"variables": ["x", "y"], "generators": [[0, "y"]]},
+    ],
+)
+def test_parse_json_rejects_malformed_generators(data):
+    with pytest.raises(ParseError):
+        parse_ideal_json(data)
+    with pytest.raises(ParseError):
+        parse_ideal(json.dumps(data))
+
+
 def test_parse_text_empty_raises():
     with pytest.raises(EmptyInput):
         parse_ideal_text("   \n# only a comment\n")

@@ -14,7 +14,6 @@ from sqfbetti import (
     FieldSpec,
     SqfMonomial,
     betti_table,
-    boundary_matrix,
     build_lattice,
     matrix_rank,
     parse_ideal_text,
@@ -26,6 +25,7 @@ from sqfbetti import homology
 from sqfbetti.homology import faces_by_dimension, homology_below
 
 from conftest import mk, random_sqf_ideal
+from dense import boundary_matrix
 from test_betti import RP2_6
 
 
@@ -193,11 +193,11 @@ def test_downward_closed(path3):
 
 
 def test_matrix_rank_small_cases():
-    assert matrix_rank(np.zeros((0, 0), dtype=np.int64)) == 0
-    assert matrix_rank(np.zeros((3, 2), dtype=np.int64)) == 0
-    assert matrix_rank(np.eye(4, dtype=np.int64)) == 4
+    assert matrix_rank(np.zeros((0, 0), dtype=np.int64).tolist()) == 0
+    assert matrix_rank(np.zeros((3, 2), dtype=np.int64).tolist()) == 0
+    assert matrix_rank(np.eye(4, dtype=np.int64).tolist()) == 4
     M = np.array([[1, 2], [2, 4]], dtype=np.int64)
-    assert matrix_rank(M) == 1
+    assert matrix_rank(M.tolist()) == 1
     assert matrix_rank([[1, 2], [3, 4]]) == 2
 
 
@@ -229,10 +229,10 @@ def test_rank_agreement_random_matrices():
             [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)],
             dtype=np.int64,
         )
-        r_qq = matrix_rank(M, RATIONALS)
+        r_qq = matrix_rank(M.tolist(), RATIONALS)
         r_np = np.linalg.matrix_rank(M.astype(float))
         assert r_qq == int(r_np)
-        assert matrix_rank(M, GF_32003) == r_qq  # entries tiny, no char-p drop
+        assert matrix_rank(M.tolist(), GF_32003) == r_qq  # entries tiny, no char-p drop
 
 
 @settings(max_examples=50)
@@ -295,7 +295,6 @@ def test_matrix_rank_matches_fraction_oracle(rows):
     for field, p in ORACLE_FIELDS:
         expect = rank_oracle(rows, p)
         assert matrix_rank(rows, field) == expect
-        assert matrix_rank(np.array(rows, dtype=np.int64), field) == expect
 
 
 @settings(max_examples=40, deadline=None)
