@@ -110,10 +110,13 @@ def search_complement_witnesses(
         return sorted(found, key=SqfMonomial.sort_key)
 
     right = nonzero_in(b)
+    full = I.vars.full_mask
     out = []
     for m in nonzero_in(a):
+        # the variables m lacks; an m2 without all of them cannot complete the lcm
+        need = full & ~m.mask
         for m2 in right:
-            if complementary(I, m, m2):
+            if m2.mask & need == need and complementary(I, m, m2):
                 out.append((m, m2))
                 if not all_pairs:
                     return out

@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .analysis import (
@@ -138,8 +139,55 @@ def _parse_sequence(I: MonomialIdeal, text: str) -> tuple[int, ...]:
     return tuple(_resolve_generator(I, e) for e in entries)
 
 
+def _json_text(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    CPython drops to its pure-Python encoder whenever ``indent`` is set,
+    which costs more than the rest of the CLI on a large Betti table.
+    This writer formats strings with the stdlib's C string encoder, ints
+    with ``int.__repr__`` and containers as json does (dicts with sorted
+    keys, lists and tuples as arrays, ``{}``/``[]`` when empty); any other
+    leaf, such as a float, goes to ``json.dumps``.  Dict keys must be
+    strings, as in every CLI result: the string encoder raises TypeError
+    on any other key.
+    """
+
+    def text(o, newline: str) -> str:
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        inner = newline + "  "
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            # name lists are most of a table's leaves; skip the call for them
+            items = [
+                encode_basestring_ascii(x) if type(x) is str else text(x, inner)
+                for x in o
+            ]
+            return "[" + inner + ("," + inner).join(items) + newline + "]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            items = [
+                encode_basestring_ascii(key) + ": " + text(value, inner)
+                for key, value in sorted(o.items())
+            ]
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return json.dumps(o)
+
+    return text(obj, "\n")
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_json_text(obj))
 
 
 def _names(I: MonomialIdeal, m: SqfMonomial) -> list[str]:

@@ -26,6 +26,9 @@ MAX_NARROW_VARS = 64
 # a plain identifier, optionally with the "(k)" suffix that polarize adds
 _VARIABLE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\([0-9]+\))?")
 
+# swaps the binary digits, for SqfMonomial.sort_key
+_FLIP_BITS = str.maketrans("01", "10")
+
 
 def _indices_of(mask: int) -> tuple[int, ...]:
     out = []
@@ -136,8 +139,20 @@ class SqfMonomial:
     def gcd(self, other: "SqfMonomial") -> "SqfMonomial":
         return SqfMonomial(self.mask & other.mask)
 
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (self.degree, self.indices())
+    def sort_key(self) -> tuple[int, str]:
+        """The canonical order: by degree, then by the sorted index tuple.
+
+        Orders masks exactly as ``(self.degree, self.indices())`` does,
+        without building the tuple.  The string is the mask's binary
+        digits from bit 0 up, with 0 and 1 swapped.  At equal degree the
+        lowest differing bit decides, and the mask holding it sorts first,
+        as its smaller index does in the tuple.  Two strings of equal
+        degree are never in a prefix relation: the longer one agrees with
+        the shorter one's bits and also holds its own top bit, so its
+        degree would be higher.
+        """
+        mask = self.mask
+        return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP_BITS))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SqfMonomial) and self.mask == other.mask
@@ -433,8 +448,9 @@ def parse_ideal_text(text: str, wide: bool = False) -> MonomialIdeal:
 
     Lines starting with '#' are comments.  A variable name is a letter or
     '_' followed by letters, digits or '_', optionally ending in a
-    parenthesised index such as x(1); any other token is a ParseError.
-    Variables are interned in first-seen order.
+    parenthesised index such as x(1); any other token is a ParseError,
+    and so is a variable listed twice in one generator.  Variables are
+    interned in first-seen order.
     """
     names: list[str] = []
     seen: dict[str, int] = {}
@@ -451,6 +467,11 @@ def parse_ideal_text(text: str, wide: bool = False) -> MonomialIdeal:
                     raise ParseError(f"bad variable name {tok!r} on line {lineno}")
                 seen[tok] = len(names)
                 names.append(tok)
+            elif seen[tok] in indices:
+                raise ParseError(
+                    f"variable {tok!r} repeated on line {lineno}: "
+                    "generators must be square-free"
+                )
             indices.append(seen[tok])
         raw_gens.append(indices)
     if not raw_gens:
@@ -493,11 +514,19 @@ def parse_ideal_json(data, wide: bool = False) -> MonomialIdeal:
         if all(type(v) is int for v in entry):  # not bool
             if any(not 0 <= v < len(vars) for v in entry):
                 raise ParseError("generator index out of range")
-            gens.append(SqfMonomial.from_indices(entry))
+            g = SqfMonomial.from_indices(entry)
         elif all(isinstance(v, str) for v in entry):
-            gens.append(SqfMonomial.from_names(vars, entry))
+            g = SqfMonomial.from_names(vars, entry)
         else:
             raise ParseError("a generator must list all indices or all names")
+        if g.degree != len(entry):
+            repeated = next(v for k, v in enumerate(entry) if v in entry[:k])
+            name = repeated if isinstance(repeated, str) else vars.names[repeated]
+            raise ParseError(
+                f"generator {entry!r} repeats variable {name!r}: "
+                "generators must be square-free"
+            )
+        gens.append(g)
     if not gens:
         raise EmptyInput("no generators in input")
     return normalize_generators(gens, vars)

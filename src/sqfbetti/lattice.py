@@ -51,8 +51,13 @@ def build_lattice(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLattic
     """Saturate {1} u gens under pairwise lcm.
 
     Joining with single generators suffices for closure, since every
-    element is an lcm of generators.  Raises SizeLimitExceeded (with the
-    elements found so far attached) if the lattice would exceed cap.
+    element is an lcm of generators.  A new element's witness is its
+    parent's with gi appended, and so stays strictly increasing.  Say m
+    was first reached from p by joining g_t, so t ends m's witness, and
+    take gi <= t.  Either m | g_gi = m, or q = p | g_gi is an element
+    processed before m (p joins its generators in index order), and q
+    already reached m | g_gi = q | g_t.  Raises SizeLimitExceeded (with
+    the elements found so far attached) if the lattice would exceed cap.
     """
     witness: dict[int, tuple[int, ...]] = {0: ()}
     gen_masks = [g.mask for g in I.gens]
@@ -63,7 +68,7 @@ def build_lattice(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLattic
             for gi, gmask in enumerate(gen_masks):
                 j = m | gmask
                 if j not in witness:
-                    witness[j] = tuple(sorted(set(witness[m]) | {gi}))
+                    witness[j] = witness[m] + (gi,)
                     fresh.append(j)
                     if len(witness) > cap:
                         partial = sorted(

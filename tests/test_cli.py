@@ -9,8 +9,10 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from sqfbetti.cli import main
+from sqfbetti.cli import _json_text, main
 
 from test_betti import TABLE_A_M2
 
@@ -577,3 +579,58 @@ def test_bad_variable_name_in_json_input_file(capsys, tmp_path):
     assert out == ""
     assert "bad variable name 'x^2'" in err
     assert "Traceback" not in err
+
+
+def test_repeated_variable_in_gens(capsys):
+    code, out, err = run(capsys, "betti", "--gens", "x*x, y")
+    assert code == 1
+    assert out == ""
+    assert "'x' repeated on line 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti"],
+        ["lattice"],
+        ["covers", "--well-ordered", "--all"],
+        ["covers", "--minimal"],
+        ["bouquets", "--find"],
+        ["subadd", "--full", "--with-witnesses"],
+        ["homology", "--multidegree", "x*y*z*a"],
+    ],
+)
+def test_json_output_is_the_stdlib_encoding(capsys, argv):
+    code, out, err = run(capsys, *argv, "--gens", GENS_A, "--format", "json")
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+_JSON_CHARS = st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\b\n\u00e9\u2028\ud800\U0001f600'),
+    st.characters(),
+)
+_JSON_TEXT = st.text(_JSON_CHARS, max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**130), 2**130)
+    | st.floats()
+    | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+def test_json_writer_matches_stdlib(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_json_writer_rejects_a_non_string_key():
+    with pytest.raises(TypeError):
+        _json_text({"a": {1: 2}})

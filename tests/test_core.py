@@ -83,6 +83,23 @@ def test_monomial_ordering_is_degree_then_support():
     ]
 
 
+def test_sort_key_orders_like_degree_then_indices():
+    def by_tuple(m):
+        return (m.degree, m.indices())
+
+    small = [SqfMonomial(mask) for mask in range(2**12)]
+    rng = random.Random(11)
+    wide = [SqfMonomial(rng.getrandbits(rng.randint(65, 130))) for _ in range(2000)]
+    # equal-degree masks: one 101-bit mask with a set and an unset bit swapped
+    base = rng.getrandbits(100) | 1 << 100
+    for _ in range(200):
+        i, j = rng.sample(range(101), 2)
+        if (base >> i ^ base >> j) & 1:
+            wide.append(SqfMonomial(base ^ (1 << i | 1 << j)))
+    for ms in (small, wide):
+        assert sorted(ms, key=SqfMonomial.sort_key) == sorted(ms, key=by_tuple)
+
+
 def test_format_monomial():
     vars = VariableTable(["x", "y", "z"])
     assert format_monomial(SqfMonomial.one(), vars) == "1"
@@ -310,6 +327,21 @@ def test_parse_json_rejects_malformed_generators(data):
         parse_ideal_json(data)
     with pytest.raises(ParseError):
         parse_ideal(json.dumps(data))
+
+
+def test_parse_rejects_a_repeated_variable():
+    with pytest.raises(ParseError, match=r"'x' repeated on line 1"):
+        parse_ideal_text("x*x\ny")
+    with pytest.raises(ParseError, match=r"'x' repeated on line 3"):
+        parse_ideal_text("# comment\na b\nx y x")
+    named = {"variables": ["x", "y"], "generators": [["x", "x"], ["y"]]}
+    indexed = {"variables": ["x", "y"], "generators": [["y"], [1, 0, 0]]}
+    with pytest.raises(ParseError, match=r"\['x', 'x'\] repeats variable 'x'"):
+        parse_ideal_json(named)
+    with pytest.raises(ParseError, match=r"\[1, 0, 0\] repeats variable 'x'"):
+        parse_ideal_json(indexed)
+    with pytest.raises(ParseError, match="repeats variable"):
+        parse_ideal(json.dumps(indexed))
 
 
 def test_parse_text_empty_raises():

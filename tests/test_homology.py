@@ -212,7 +212,8 @@ def test_matrix_rank_exact_where_floats_fail():
 
 
 def test_matrix_rank_bigint_fallback():
-    # entries past the int64-safe bound force the bigint path
+    # products of these entries leave the int64 range; the elimination
+    # works on Python ints throughout, so nothing may overflow or round
     big = 2**40
     M = [[big, 0], [0, big]]
     assert matrix_rank(M, RATIONALS) == 2

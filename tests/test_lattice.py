@@ -50,6 +50,22 @@ def test_witness_realizes_element(three_brooms):
     assert lat.witness[0] == ()
 
 
+def test_elements_and_witnesses_on_randoms():
+    rng = random.Random(23)
+    for _ in range(40):
+        I = random_sqf_ideal(rng, max_vars=9, max_gens=8)
+        lat = build_lattice(I)
+        keys = [(m.degree, m.indices()) for m in lat.elements]
+        assert keys == sorted(keys)
+        for m in lat.elements:
+            w = lat.witness[m.mask]
+            assert all(a < b for a, b in zip(w, w[1:]))
+            joined = 0
+            for gi in w:
+                joined |= I.gens[gi].mask
+            assert joined == m.mask
+
+
 def test_lattice_closed_under_joins(four_triangles):
     lat = build_lattice(four_triangles)
     for a in lat.elements:
