@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
-from .betti import BettiTable, betti_table, multigraded_betti, t_max
+from .betti import BettiTable, betti_table, t_max
 from .core import (
     MonomialIdeal,
     SimplicialComplex,
@@ -30,6 +30,7 @@ from .errors import (
     InvalidPartition,
     SameFacet,
     SizeLimitExceeded,
+    SqfBettiError,
 )
 from .homology import RATIONALS, FieldSpec
 from .lattice import complementary
@@ -184,22 +185,20 @@ def facet_distance(delta: SimplicialComplex, f, g) -> int | float:
     return math.inf
 
 
-class _DistanceCache:
-    """Pairwise 3-disjointness queries against one fixed complex."""
+def _near(delta: SimplicialComplex) -> list[int]:
+    """Bit j of near[i]: some facet meets facets i and j (distance <= 2).
 
-    __slots__ = ("delta", "known")
-
-    def __init__(self, delta: SimplicialComplex):
-        self.delta = delta
-        self.known: dict[tuple[int, int], int | float] = {}
-
-    def three_disjoint(self, i: int, j: int) -> bool:
-        key = (i, j) if i < j else (j, i)
-        d = self.known.get(key)
-        if d is None:
-            d = facet_distance(self.delta, key[0], key[1])
-            self.known[key] = d
-        return d >= 3
+    Facets r and c are 3-disjoint iff near[r] lacks bit c; bit r is set.
+    """
+    masks = [f.mask for f in delta.facets]
+    near = []
+    for f in masks:
+        around = 0  # the vertices of the facets meeting f
+        for g in masks:
+            if f & g:
+                around |= g
+        near.append(sum(1 << j for j, g in enumerate(masks) if g & around))
+    return near
 
 
 def is_strongly_disjoint(
@@ -225,10 +224,10 @@ def is_strongly_disjoint(
         reps.append(r)
         if r not in bouquets[k].facets:
             reasons.append(f"representative of bouquet {k} is not one of its facets")
-    cache = _DistanceCache(delta)
+    near = _near(delta)
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
-            if reps[i] == reps[j] or not cache.three_disjoint(reps[i], reps[j]):
+            if near[reps[i]] >> reps[j] & 1:
                 reasons.append(
                     f"representatives of bouquets {i} and {j} are not 3-disjoint"
                 )
@@ -267,26 +266,27 @@ def outside_condition(
 
 
 def _representative_systems(
-    bouquets: Sequence[Bouquet], cache: _DistanceCache
+    bouquets: Sequence[Bouquet], near: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
     """Pairwise 3-disjoint representative choices, in lexicographic order."""
 
-    def extend(chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    # near is symmetric: blocked holds every facet too close to a chosen one
+    def extend(chosen: tuple[int, ...], blocked: int) -> Iterator[tuple[int, ...]]:
         if len(chosen) == len(bouquets):
             yield chosen
             return
         for r in sorted(bouquets[len(chosen)].facets):
-            if all(r != c and cache.three_disjoint(r, c) for c in chosen):
-                yield from extend(chosen + (r,))
+            if not blocked >> r & 1:
+                yield from extend(chosen + (r,), blocked | near[r])
 
-    return extend(())
+    return extend((), 0)
 
 
 def representative_systems(
     delta: SimplicialComplex, bouquets: Sequence[Bouquet]
 ) -> list[tuple[int, ...]]:
     """All pairwise 3-disjoint representative choices, lexicographic."""
-    return list(_representative_systems(bouquets, _DistanceCache(delta)))
+    return list(_representative_systems(bouquets, _near(delta)))
 
 
 def build_bouquet_set(
@@ -314,7 +314,7 @@ def build_bouquet_set(
             if bouquets[i].vertex_mask & bouquets[j].vertex_mask:
                 raise InvalidBouquetSet(f"bouquets {i} and {j} share a vertex")
     if representatives is None:
-        reps = next(_representative_systems(bouquets, _DistanceCache(delta)), None)
+        reps = next(_representative_systems(bouquets, _near(delta)), None)
         if reps is None:
             raise InvalidBouquetSet("no pairwise 3-disjoint representative system")
     else:
@@ -430,7 +430,7 @@ def contains_strongly_disjoint_set(
     carries its lexicographically least representative system.
     """
     results: list[BouquetSet] = []
-    cache = _DistanceCache(delta)
+    near = _near(delta)
 
     def accept(family: Sequence[tuple[int, ...]]) -> BouquetSet | None:
         bouquets = []
@@ -440,7 +440,7 @@ def contains_strongly_disjoint_set(
             bouquets.append(check.bouquet)
         if not outside_condition(delta, bouquets):
             return None
-        reps = next(_representative_systems(bouquets, cache), None)
+        reps = next(_representative_systems(bouquets, near), None)
         if reps is None:
             return None
         return BouquetSet(delta, tuple(bouquets), reps, True, True)
@@ -586,7 +586,8 @@ def bouquet_subadditivity(
     with nonvanishing Betti numbers in homological degrees b' and b'',
     all of which is theorem-backed and therefore asserted.  A family
     the theorem does not cover, one that does not span or fails the
-    outside condition, raises InvalidBouquetSet.
+    outside condition, raises InvalidBouquetSet.  Every number is read
+    from table; one over another field or ideal raises SqfBettiError.
     """
     _require_theorem(bset)
     d = len(bset.bouquets)
@@ -615,12 +616,13 @@ def bouquet_subadditivity(
     complement_ok = complementary(I, m_left, m_right)
     assert complement_ok, "partition monomials failed lattice complementation"
 
-    beta_left = multigraded_betti(I, b_left, m_left, field=field)
-    beta_right = multigraded_betti(I, b_right, m_right, field=field)
-    assert beta_left >= 1 and beta_right >= 1, "partition Betti numbers vanished"
-
     if table is None:
         table = betti_table(I, field=field)
+    elif (table.field, table.ideal) != (field, I):
+        raise SqfBettiError("table was built over another field or ideal")
+    beta_left = table.multigraded.get((b_left, m_left), 0)
+    beta_right = table.multigraded.get((b_right, m_right), 0)
+    assert beta_left >= 1 and beta_right >= 1, "partition Betti numbers vanished"
     t_left = t_max(table, b_left)
     t_right = t_max(table, b_right)
     t_total = t_max(table, b_left + b_right)

@@ -113,6 +113,11 @@ def _parse_monomial(I: MonomialIdeal, text: str) -> SqfMonomial:
     tokens = [t for t in text.replace("*", " ").split() if t]
     if not tokens:
         raise ParseError("empty monomial")
+    for k, tok in enumerate(tokens):
+        if tok in tokens[:k]:
+            raise ParseError(
+                f"variable {tok!r} repeated in {text!r}: monomials must be square-free"
+            )
     return SqfMonomial.from_names(I.vars, tokens)
 
 

@@ -12,15 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import (
-    EMPTY_IDEAL,
-    MonomialIdeal,
-    SqfMonomial,
-    format_monomial,
-    induced_subideal,
-    private_bits,
-    restrict_monomial,
-)
+from .core import MonomialIdeal, SqfMonomial, format_monomial
 from .errors import (
     InvalidSplit,
     NotWellOrdered,
@@ -178,10 +170,10 @@ class SplitCertificate:
         )
 
 
-def _covered_mask(I: MonomialIdeal, members: Iterable[int]) -> int:
+def _covered_mask(masks: Sequence[int], members: Iterable[int]) -> int:
     mask = 0
     for i in members:
-        mask |= I.gens[i].mask
+        mask |= masks[i]
     return mask
 
 
@@ -192,36 +184,47 @@ def is_minimal_cover(I: MonomialIdeal, cover) -> bool:
     variable no other member reaches.
     """
     members = sorted(cover.members if isinstance(cover, Cover) else set(cover))
-    if _covered_mask(I, members) != I.vars.full_mask:
-        return False
-    return all(private_bits([I.gens[i].mask for i in members]))
+    ok, _, failing = _ordered_cover([g.mask for g in I.gens], members, I.vars.full_mask)
+    return ok or failing is not None  # only a minimal cover reaches the witnesses
 
 
-def _witness_scan(
-    masks: Sequence[int], seq: Sequence[int]
-) -> tuple[list[tuple[int, int]], int | None]:
-    """The maximal witness j of each non-member of seq: its alpha value.
+def _ordered_cover(
+    masks: Sequence[int], seq: Sequence[int], target: int
+) -> tuple[bool, list[tuple[int, int]], int | None]:
+    """Decide whether seq is a well ordered cover of I_[target], on I's masks.
 
-    Returns (witnesses, None), or (witnesses so far, n) for the first
-    non-member n that has no witness.
+    I_[target] keeps the generators dividing target, over its variables,
+    and that restriction keeps every mask inclusion tested here.  Returns
+    (ok, witnesses, failing): the maximal j (the alpha value) of each
+    non-member dividing target, and the first such non-member with none.
+    Both stay empty unless seq is a minimal cover of I_[target]: lcm
+    target, and each member keeping a private bit.
     """
     steps = []  # (j, mask of m_j, mask of lcm(m_{j+1}, ..., m_s))
-    suffix = 0
-    for j in range(len(seq) - 1, 0, -1):
-        suffix |= masks[seq[j]]
-        steps.append((j, masks[seq[j - 1]], suffix))
+    once = twice = 0  # bits of at least one, and of two, members after m_k
+    for k in range(len(seq) - 1, -1, -1):
+        m_k = masks[seq[k]]
+        if once:  # no generator is 1, so this skips only the last member
+            steps.append((k + 1, m_k, once))
+        twice |= once & m_k
+        once |= m_k
+    if once != target:
+        return False, [], None
+    for i in seq:  # private bits, as in core.private_bits
+        if not masks[i] & ~twice:
+            return False, [], None
     members = set(seq)
     witnesses = []
     for n, n_mask in enumerate(masks):
-        if n in members:
+        if n in members or n_mask & ~target:
             continue
         for j, m_j, after in steps:
             if not m_j & ~(n_mask | after):
                 witnesses.append((n, j))
                 break
         else:
-            return witnesses, n
-    return witnesses, None
+            return False, witnesses, n
+    return True, witnesses, None
 
 
 def is_well_ordered_cover(I: MonomialIdeal, seq: Sequence[int]) -> WocCheck:
@@ -231,16 +234,15 @@ def is_well_ordered_cover(I: MonomialIdeal, seq: Sequence[int]) -> WocCheck:
         return WocCheck(False, reason="repeated generator in sequence")
     if any(not 0 <= i < len(I.gens) for i in seq):
         return WocCheck(False, reason="generator index out of range")
-    if not is_minimal_cover(I, seq):
-        return WocCheck(False, reason="not a minimal cover")
-    witnesses, failing = _witness_scan([g.mask for g in I.gens], seq)
+    ok, witnesses, failing = _ordered_cover(
+        [g.mask for g in I.gens], seq, I.vars.full_mask
+    )
     if failing is not None:
         name = format_monomial(I.gens[failing], I.vars)
-        return WocCheck(
-            False,
-            reason=f"no witness position for non-member {name}",
-            failing=failing,
-        )
+        reason = f"no witness position for non-member {name}"
+        return WocCheck(False, reason=reason, failing=failing)
+    if not ok:
+        return WocCheck(False, reason="not a minimal cover")
     return WocCheck(True, woc=WellOrderedCover(I, seq, witnesses))
 
 
@@ -308,10 +310,9 @@ def find_well_ordered_covers(
     counts each state searched plus each sequence completed; exceeding
     it raises SizeLimitExceeded with the covers found so far attached.
 
-    Each result is verified against the decision: minimality once per
-    cover searched, and for each emitted sequence that it permutes the
-    cover and passes the witness scan, whose maximal positions become
-    its witnesses.
+    Each emitted sequence is verified against the decision: it permutes
+    the cover and is a well ordered cover, and the decision's maximal
+    witness positions become its witnesses.
     """
     covers = enumerate_minimal_covers(I, budget=budget)
     masks = [g.mask for g in I.gens]
@@ -326,13 +327,10 @@ def find_well_ordered_covers(
         non_members = frozenset(
             n for n in range(len(I.gens)) if n not in cover.members
         )
-        minimal = is_minimal_cover(I, members)
 
         def verified(seq: tuple[int, ...]) -> WellOrderedCover:
-            witnesses, failing = _witness_scan(masks, seq)
-            assert (
-                minimal and sorted(seq) == members and failing is None
-            ), "search emitted a sequence failing the decision"
+            ok, witnesses, _ = _ordered_cover(masks, seq, I.vars.full_mask)
+            assert ok and sorted(seq) == members, "emitted sequence fails the decision"
             return WellOrderedCover(I, seq, witnesses)
 
         def spent() -> None:
@@ -403,34 +401,27 @@ def split_certificate(I: MonomialIdeal, woc, a: int) -> SplitCertificate:
     failure here is an internal error, not a negative answer.  The prefix
     is checked against I_[m] directly, and condition records which
     sufficient clause applies (None when neither does, which is not a
-    refutation).
+    refutation).  Both halves are decided on I's own generator masks.
     """
     seq = _as_cover(I, woc).sequence
     s = len(seq)
     if not 1 <= a <= s - 1:
         raise InvalidSplit(f"split position {a} outside 1..{s - 1}")
     prefix, suffix = seq[:a], seq[a:]
-    m = SqfMonomial(_covered_mask(I, prefix))
-    m2 = SqfMonomial(_covered_mask(I, suffix))
+    masks = [g.mask for g in I.gens]
+    m = SqfMonomial(_covered_mask(masks, prefix))
+    m2 = SqfMonomial(_covered_mask(masks, suffix))
     # both are lcms of generator subsets, hence lattice elements
     complement_ok = complementary(I, m, m2)
     assert complement_ok, "split halves failed lattice complementation"
 
-    def translated_check(part: tuple[int, ...], target: SqfMonomial) -> bool:
-        sub = induced_subideal(I, target)
-        assert sub is not EMPTY_IDEAL
-        local = [
-            sub.index_of(restrict_monomial(I.gens[i], I.vars, sub.vars))
-            for i in part
-        ]
-        return is_well_ordered_cover(sub, local).ok
-
-    suffix_woc_ok = translated_check(suffix, m2)
+    suffix_woc_ok = _ordered_cover(masks, suffix, m2.mask)[0]
     assert suffix_woc_ok, "suffix failed to cover its induced subideal"
-    prefix_woc_ok = translated_check(prefix, m)
+    prefix_woc_ok = _ordered_cover(masks, prefix, m.mask)[0]
 
-    retained = {i for i, g in enumerate(I.gens) if g.divides(m)}
-    if retained == set(prefix):
+    # the prefix members divide m, so I_[m] is the prefix iff nothing else does
+    retained = sum(1 for g in masks if not g & ~m.mask)
+    if retained == a:
         condition = CONDITION_INDUCED_EQUALS_PREFIX
     elif m.gcd(m2).is_one:
         condition = CONDITION_COPRIME_PARTS

@@ -1,10 +1,14 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from sqfbetti import (
+    RATIONALS,
+    FieldSpec,
     SqfMonomial,
+    betti_table,
     bouquet_orderings,
     bouquet_subadditivity,
     build_bouquet_set,
@@ -14,6 +18,7 @@ from sqfbetti import (
     is_bouquet,
     is_strongly_disjoint,
     is_well_ordered_cover,
+    multigraded_betti,
     outside_condition,
     representative_systems,
     spans_complex,
@@ -23,6 +28,7 @@ from sqfbetti.errors import (
     InvalidPartition,
     SameFacet,
     SizeLimitExceeded,
+    SqfBettiError,
 )
 
 from conftest import mk, random_sqf_ideal
@@ -425,3 +431,79 @@ def test_found_families_yield_covers_on_randoms():
             seq = bouquet_orderings(bset)
             assert is_well_ordered_cover(I, seq)
     assert seen >= 1
+
+
+def test_three_disjointness_matches_facet_distance():
+    # facet_distance is the breadth-first oracle for the near relation
+    rng = random.Random(59)
+    partial = 0  # families with some, but not every, choice 3-disjoint
+    for _ in range(40):
+        delta = facet_complex(random_sqf_ideal(rng, max_vars=12, max_gens=10))
+        n = len(delta.facets)
+        far = {
+            (i, j): i != j and facet_distance(delta, i, j) >= 3
+            for i in range(n)
+            for j in range(n)
+        }
+        singles = [is_bouquet(delta, [i]).bouquet for i in range(n)]
+        for i, j in far:
+            _, reasons = is_strongly_disjoint(delta, [singles[i], singles[j]], [i, j])
+            assert any("3-disjoint" in r for r in reasons) == (not far[i, j])
+        bouquets = [
+            check.bouquet
+            for size in (1, 2, 3)
+            for subset in itertools.combinations(range(n), size)
+            if (check := is_bouquet(delta, subset)).ok
+        ]
+        families = itertools.chain(
+            itertools.combinations(bouquets, 2),
+            itertools.combinations(bouquets[:10], 3),
+        )
+        for family in families:
+            choices = list(itertools.product(*(sorted(b.facets) for b in family)))
+            expected = [
+                reps
+                for reps in choices
+                if all(far[r, c] for r, c in itertools.combinations(reps, 2))
+            ]
+            assert representative_systems(delta, family) == expected
+            partial += 0 < len(expected) < len(choices)
+            for reps in choices:
+                _, reasons = is_strongly_disjoint(delta, family, reps)
+                close = any("3-disjoint" in r for r in reasons)
+                assert close == (reps not in expected)
+    assert partial >= 100
+
+
+def test_subadditivity_reads_betti_numbers_from_the_table(
+    three_brooms, brooms_delta, three_brooms_table
+):
+    groups = [
+        [fid(brooms_delta, t) for t in g]
+        for g in (("ax", "ay"), ("bz", "bv", "bw"), ("cu", "cg"))
+    ]
+    bset = build_bouquet_set(brooms_delta, groups)
+    for left in ([0], [1], [2], [0, 1]):
+        cert = bouquet_subadditivity(bset, left, table=three_brooms_table)
+        for b, m, beta in (
+            (cert.b_left, cert.m_left, cert.beta_left),
+            (cert.b_right, cert.m_right, cert.beta_right),
+        ):
+            assert beta == multigraded_betti(three_brooms, b, m)
+
+
+def test_subadditivity_rejects_a_table_of_another_field_or_ideal(
+    three_brooms, brooms_delta, star_cluster_table
+):
+    groups = [
+        [fid(brooms_delta, t) for t in g]
+        for g in (("ax", "ay"), ("bz", "bv", "bw"), ("cu", "cg"))
+    ]
+    bset = build_bouquet_set(brooms_delta, groups)
+    gf2 = betti_table(three_brooms, field=FieldSpec.prime(2))
+    with pytest.raises(SqfBettiError, match="another field"):
+        bouquet_subadditivity(bset, [0], field=RATIONALS, table=gf2)
+    with pytest.raises(SqfBettiError, match="another field or ideal"):
+        bouquet_subadditivity(bset, [0], table=star_cluster_table)
+    cert = bouquet_subadditivity(bset, [0], field=FieldSpec.prime(2), table=gf2)
+    assert cert.holds and cert.field == FieldSpec.prime(2)

@@ -590,6 +590,23 @@ def test_repeated_variable_in_gens(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["homology", "--multidegree", "x*x*y"], "x"),
+        (["covers", "--sequence", "x*y*y, y*z"], "y"),
+        (["bouquets", "--check", "x*y*x"], "x"),
+        (["bouquets", "--check", "x*y", "--reps", "y x y"], "y"),
+    ],
+)
+def test_repeated_variable_in_monomial_arguments(capsys, argv, name):
+    code, out, err = run(capsys, *argv, "--gens", GENS_A)
+    assert code == 1
+    assert out == ""
+    assert f"variable {name!r} repeated" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["betti"],

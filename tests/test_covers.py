@@ -9,9 +9,11 @@ from sqfbetti import (
     alpha_values,
     enumerate_minimal_covers,
     find_well_ordered_covers,
+    induced_subideal,
     is_minimal_cover,
     is_well_ordered_cover,
     multigraded_betti,
+    restrict_monomial,
     rotate_cover,
     split_certificate,
 )
@@ -377,3 +379,53 @@ def test_cover_container_behavior():
     assert list(c) == [1, 2, 3]
     assert c == Cover(frozenset({1, 2, 3}))
     assert hash(c) == hash(Cover(frozenset({1, 2, 3})))
+
+
+def test_splits_match_the_induced_subideal_definition():
+    # the definition, on a second ideal: each half must be a well ordered
+    # cover of the induced subideal of its lcm, over that subideal's own
+    # variables, and condition reads the retained generators directly
+    rng = random.Random(53)
+    checked = 0
+    outcomes = set()
+    while checked < 60:
+        I = random_sqf_ideal(rng, max_vars=8, max_gens=8)
+        found = find_well_ordered_covers(I)
+        if not found:
+            continue
+        checked += 1
+        for woc in found[:3]:
+            seq = woc.sequence
+            for a in range(1, len(seq)):
+                halves = []
+                for part in (seq[:a], seq[a:]):
+                    lcm = SqfMonomial.one()
+                    for i in part:
+                        lcm = lcm.lcm(I.gens[i])
+                    sub = induced_subideal(I, lcm)
+                    local = [
+                        sub.index_of(restrict_monomial(I.gens[i], I.vars, sub.vars))
+                        for i in part
+                    ]
+                    halves.append((lcm, is_well_ordered_cover(sub, local).ok))
+                (m, prefix_ok), (m2, suffix_ok) = halves
+                retained = {i for i, g in enumerate(I.gens) if g.divides(m)}
+                if retained == set(seq[:a]):
+                    condition = CONDITION_INDUCED_EQUALS_PREFIX
+                elif m.gcd(m2).is_one:
+                    condition = CONDITION_COPRIME_PARTS
+                else:
+                    condition = None
+                cert = split_certificate(I, woc, a)
+                assert (cert.m, cert.m2) == (m, m2)
+                assert cert.prefix_woc_ok == prefix_ok
+                assert cert.suffix_woc_ok == suffix_ok
+                assert cert.condition == condition
+                outcomes.add((prefix_ok, condition))
+    # every combination the certificate can report occurred
+    assert outcomes == {
+        (True, CONDITION_INDUCED_EQUALS_PREFIX),
+        (True, CONDITION_COPRIME_PARTS),
+        (True, None),
+        (False, None),
+    }
