@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import MonomialIdeal, SqfMonomial, format_monomial
+from .core import MonomialIdeal, SqfMonomial, format_monomial, private_bits
 from .errors import (
     InvalidSplit,
     NotWellOrdered,
@@ -310,9 +310,14 @@ def find_well_ordered_covers(
     counts each state searched plus each sequence completed; exceeding
     it raises SizeLimitExceeded with the covers found so far attached.
 
-    Each emitted sequence is verified against the decision: it permutes
-    the cover and is a well ordered cover, and the decision's maximal
-    witness positions become its witnesses.
+    Each memo entry pairs a head (the members at positions 1..j) with the
+    (n, position) witnesses discharged inside it.  Positions are filled
+    downward, so a non-member leaves the undischarged set at its maximal
+    witness: the union along a sequence's path is its witnesses, the
+    alpha values.  Every emitted sequence is checked: it permutes the
+    cover (decided minimal once, at its first sequence), carries one
+    witness per non-member, and m_j | lcm(n, m_{j+1}, ..., m_s) holds for
+    each; maximality of j rests on the downward fill and is not rechecked.
     """
     covers = enumerate_minimal_covers(I, budget=budget)
     masks = [g.mask for g in I.gens]
@@ -324,33 +329,53 @@ def find_well_ordered_covers(
         if size is not None and len(members) != size:
             continue
         s = len(members)
-        non_members = frozenset(
-            n for n in range(len(I.gens)) if n not in cover.members
-        )
+        non_members = [n for n in range(len(I.gens)) if n not in cover.members]
+        minimal = None  # decided when the cover emits its first sequence
 
-        def verified(seq: tuple[int, ...]) -> WellOrderedCover:
-            ok, witnesses, _ = _ordered_cover(masks, seq, I.vars.full_mask)
-            assert ok and sorted(seq) == members, "emitted sequence fails the decision"
+        def checked(
+            seq: tuple[int, ...], carried: tuple[tuple[int, int], ...]
+        ) -> WellOrderedCover:
+            nonlocal minimal
+            if minimal is None:
+                cover_masks = [masks[i] for i in members]
+                minimal = _covered_mask(masks, members) == I.vars.full_mask and all(
+                    private_bits(cover_masks)
+                )
+            witnesses = tuple(sorted(carried))
+            ok = (
+                minimal
+                and sorted(seq) == members
+                and len(witnesses) == len(non_members)
+            )
+            after = [0] * s  # after[j]: mask of lcm(m_{j+1}, ..., m_s)
+            once = 0
+            for k in range(s - 1, 0, -1):
+                once |= masks[seq[k]]
+                after[k] = once
+            for (n, j), expected in zip(witnesses, non_members):
+                if n != expected or not 0 < j < s:
+                    ok = False
+                elif masks[seq[j - 1]] & ~(masks[n] | after[j]):
+                    ok = False  # m_j does not divide lcm(n, m_{j+1}, ..., m_s)
+            assert ok, "emitted sequence fails its witness check"
             return WellOrderedCover(I, seq, witnesses)
 
-        def spent() -> None:
+        def spent(count: int = 1) -> None:
             nonlocal states
-            states += 1
+            states += count
             if states > budget:
                 raise SizeLimitExceeded(
                     f"well ordered cover search exceeded budget {budget}",
                     partial=list(results),
                 )
 
-        memo: dict[
-            tuple[frozenset[int], frozenset[int]], tuple[tuple[int, ...], ...]
-        ] = {}
+        memo: dict[tuple[frozenset[int], frozenset[int]], tuple] = {}
 
         def complete(
             remaining: frozenset[int], unsat: frozenset[int], placed_mask: int
-        ) -> tuple[tuple[int, ...], ...]:
+        ) -> tuple:
             if not remaining:
-                return ((),) if not unsat else ()
+                return (((), ()),) if not unsat else ()
             key = (remaining, unsat)
             hit = memo.get(key)
             if hit is not None:
@@ -367,16 +392,21 @@ def find_well_ordered_covers(
                     )
                 else:
                     new_unsat = unsat
-                for head in complete(remaining - {g}, new_unsat, placed_mask | gmask):
-                    out.append(head + (g,))
-                    spent()
-                if first_only and out:
-                    break
+                heads = complete(remaining - {g}, new_unsat, placed_mask | gmask)
+                if heads:
+                    discharged = tuple((n, j) for n in unsat - new_unsat)
+                    for head, carried in heads:
+                        out.append((head + (g,), carried + discharged))
+                    spent(len(heads))
+                    if first_only:
+                        break
             memo[key] = tuple(out)
             return memo[key]
 
-        for seq in complete(frozenset(members), non_members, 0):
-            results.append(verified(seq))
+        emitted = complete(frozenset(members), frozenset(non_members), 0)
+        memo.clear()  # complete refers to itself, so only the cycle collector frees it
+        for seq, carried in emitted:
+            results.append(checked(seq, carried))
             if first_only:
                 return results
 
@@ -384,8 +414,10 @@ def find_well_ordered_covers(
 
 
 def _as_cover(I: MonomialIdeal, woc) -> WellOrderedCover:
-    """Accept a WellOrderedCover or a raw index sequence; validate."""
+    """Accept a WellOrderedCover of I or a raw index sequence; validate."""
     if isinstance(woc, WellOrderedCover):
+        if woc.ideal is not I and woc.ideal != I:
+            raise NotWellOrdered("the cover was built for another ideal")
         return woc
     check = is_well_ordered_cover(I, tuple(woc))
     if not check.ok:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqfbetti.cli import _json_text, main
@@ -651,3 +652,54 @@ def test_json_writer_matches_stdlib(obj):
 def test_json_writer_rejects_a_non_string_key():
     with pytest.raises(TypeError):
         _json_text({"a": {1: 2}})
+
+
+# ---------------------------------------------------------------------------
+# input fuzz: every failure is a domain error, reported without a traceback
+
+_INPUT_CHARS = st.one_of(st.sampled_from('xyzab019_()*,; #{}[]":\n\t-'), st.characters())
+_INPUT_TEXT = st.text(_INPUT_CHARS, max_size=30)
+_NAME = st.sampled_from(["x", "y", "z", "x(1)", "_a", "1x", "x y", "", "\u00e9"]) | _INPUT_TEXT
+_JSON_IDEAL = st.fixed_dictionaries(
+    {
+        "variables": st.lists(_NAME, max_size=4),
+        "generators": st.lists(
+            st.lists(st.integers(-2, 8) | st.booleans() | _NAME, max_size=3), max_size=4
+        ),
+    }
+)
+_IDEAL_FILE = (
+    _INPUT_TEXT
+    | _JSON_IDEAL.map(json.dumps)
+    | _JSON_VALUES.map(json.dumps)
+    | _INPUT_TEXT.map(lambda t: "{" + t)
+)
+_TOKEN = st.sampled_from(["x", "y", "z", "a", "b", "c", "q", "x(1)", "1", "0", "5", "9"])
+_MONOMIAL = st.lists(_TOKEN | _INPUT_TEXT, max_size=4).map("*".join) | _INPUT_TEXT
+_LIST = st.lists(_MONOMIAL, max_size=5).map(",".join)
+_FUZZ_CALLS = st.one_of(
+    _IDEAL_FILE.map(lambda text: (["covers", "--minimal", "-i", "-"], text)),
+    _LIST.map(lambda gens: (["covers", "--minimal", "--gens=" + gens], None)),
+    _LIST.map(lambda seq: (["covers", "--gens", GENS_A, "--alpha", "--sequence=" + seq], None)),
+    _MONOMIAL.map(lambda m: (["homology", "--gens", GENS_A, "--multidegree=" + m], None)),
+    st.tuples(st.lists(_LIST, max_size=3).map(";".join), _LIST).map(
+        lambda g: (["bouquets", "--gens", GENS_A, "--check=" + g[0], "--reps=" + g[1]], None)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FUZZ_CALLS)
+def test_fuzzed_input_fails_only_with_a_domain_error(call):
+    argv, stdin = call
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # main catches SqfBettiError; anything else escapes
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert any(line.startswith("error: ") for line in err.getvalue().splitlines())

@@ -13,6 +13,7 @@ from sqfbetti import (
     is_minimal_cover,
     is_well_ordered_cover,
     multigraded_betti,
+    parse_ideal_text,
     restrict_monomial,
     rotate_cover,
     split_certificate,
@@ -20,6 +21,7 @@ from sqfbetti import (
 from sqfbetti.covers import (
     CONDITION_COPRIME_PARTS,
     CONDITION_INDUCED_EQUALS_PREFIX,
+    _ordered_cover,
 )
 from sqfbetti.errors import (
     InvalidSplit,
@@ -343,6 +345,23 @@ def test_split_requires_well_ordered(path3):
         split_certificate(path3, (0, 2), 1)
 
 
+def test_split_refuses_a_cover_of_another_ideal(four_triangles, path3):
+    woc = find_well_ordered_covers(four_triangles)[0]
+    with pytest.raises(NotWellOrdered):
+        split_certificate(path3, woc, 1)
+    # an equal ideal, parsed again, is the same ideal
+    again = mk("abz", "bcz", "xyz", "axz")
+    assert split_certificate(again, woc, 1).m == split_certificate(four_triangles, woc, 1).m
+
+
+def test_alpha_values_refuse_a_cover_of_another_ideal(four_triangles, triangle_tail):
+    woc = find_well_ordered_covers(four_triangles)[0]
+    with pytest.raises(NotWellOrdered):
+        alpha_values(triangle_tail, woc)
+    again = mk("abz", "bcz", "xyz", "axz")
+    assert alpha_values(again, woc) == alpha_values(four_triangles, woc)
+
+
 def test_splits_on_random_wocs():
     rng = random.Random(43)
     checked = 0
@@ -429,3 +448,46 @@ def test_splits_match_the_induced_subideal_definition():
         (True, None),
         (False, None),
     }
+
+
+# the ideals of the benchmark's certify workload: their sequence counts,
+# and the least search budgets that complete (all, first_only)
+CERTIFY_SEARCHES = {
+    "star_cluster": (36_960, 122_963, 1_694),
+    "cycle12": (15_120, 50_805, 4_900),
+    "three_brooms": (6_720, 19_752, 100),
+    "triangle_tail": (64, 275, 20),
+}
+
+
+@pytest.fixture(scope="module")
+def cycle12():
+    return parse_ideal_text("\n".join(f"x{i} x{(i + 1) % 12}" for i in range(12)))
+
+
+@pytest.mark.parametrize("name", CERTIFY_SEARCHES)
+def test_search_witnesses_match_the_decision_at_full_size(request, name):
+    # the search carries its witnesses; the decision recomputes them
+    I = request.getfixturevalue(name)
+    masks = [g.mask for g in I.gens]
+    found = find_well_ordered_covers(I)
+    assert len(found) == len({w.sequence for w in found}) == CERTIFY_SEARCHES[name][0]
+    for w in found:
+        ok, witnesses, _ = _ordered_cover(masks, w.sequence, I.vars.full_mask)
+        assert ok and w.witnesses == tuple(witnesses), w.sequence
+    first = find_well_ordered_covers(I, first_only=True)
+    assert [(w.sequence, w.witnesses) for w in first] == [
+        (w.sequence, w.witnesses) for w in found[:1]
+    ]
+
+
+@pytest.mark.parametrize("first_only", [False, True])
+@pytest.mark.parametrize("name", CERTIFY_SEARCHES)
+def test_search_budget_is_pinned(request, name, first_only):
+    # the budget counts states plus completed sequences; these are exact
+    I = request.getfixturevalue(name)
+    budget = CERTIFY_SEARCHES[name][2 if first_only else 1]
+    assert find_well_ordered_covers(I, first_only=first_only, budget=budget)
+    with pytest.raises(SizeLimitExceeded) as e:
+        find_well_ordered_covers(I, first_only=first_only, budget=budget - 1)
+    assert e.value.partial is not None
