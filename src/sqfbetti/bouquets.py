@@ -13,7 +13,7 @@ permutation of the bouquets.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .betti import BettiTable, betti_table, t_max
 from .core import (
@@ -185,21 +185,19 @@ def facet_distance(delta: SimplicialComplex, f, g) -> int | float:
     return math.inf
 
 
-def _near(delta: SimplicialComplex, rows: Iterable[int]) -> dict[int, int]:
-    """Bit j of near[i], for each facet i in rows: some facet meets i and j.
+def _near(delta: SimplicialComplex) -> list[int]:
+    """Bit j of near[i]: some facet meets facets i and j (distance <= 2).
 
     Facets r and c are 3-disjoint iff near[r] lacks bit c; bit r is set.
-    A row costs O(F), so callers ask only for the rows they will read.
     """
     masks = [f.mask for f in delta.facets]
-    near = {}
-    for i in rows:
-        f = masks[i]
+    near = []
+    for f in masks:
         around = 0  # the vertices of the facets meeting f
         for g in masks:
             if f & g:
                 around |= g
-        near[i] = sum(1 << j for j, g in enumerate(masks) if g & around)
+        near.append(sum(1 << j for j, g in enumerate(masks) if g & around))
     return near
 
 
@@ -226,7 +224,7 @@ def is_strongly_disjoint(
         reps.append(r)
         if r not in bouquets[k].facets:
             reasons.append(f"representative of bouquet {k} is not one of its facets")
-    near = _near(delta, reps)
+    near = _near(delta)
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             if near[reps[i]] >> reps[j] & 1:
@@ -268,7 +266,7 @@ def outside_condition(
 
 
 def _representative_systems(
-    bouquets: Sequence[Bouquet], near: Mapping[int, int]
+    bouquets: Sequence[Bouquet], near: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
     """Pairwise 3-disjoint representative choices, in lexicographic order."""
 
@@ -288,8 +286,7 @@ def representative_systems(
     delta: SimplicialComplex, bouquets: Sequence[Bouquet]
 ) -> list[tuple[int, ...]]:
     """All pairwise 3-disjoint representative choices, lexicographic."""
-    near = _near(delta, {f for b in bouquets for f in b.facets})
-    return list(_representative_systems(bouquets, near))
+    return list(_representative_systems(bouquets, _near(delta)))
 
 
 def build_bouquet_set(
@@ -317,8 +314,7 @@ def build_bouquet_set(
             if bouquets[i].vertex_mask & bouquets[j].vertex_mask:
                 raise InvalidBouquetSet(f"bouquets {i} and {j} share a vertex")
     if representatives is None:
-        near = _near(delta, {f for b in bouquets for f in b.facets})
-        reps = next(_representative_systems(bouquets, near), None)
+        reps = next(_representative_systems(bouquets, _near(delta)), None)
         if reps is None:
             raise InvalidBouquetSet("no pairwise 3-disjoint representative system")
     else:
@@ -434,7 +430,7 @@ def contains_strongly_disjoint_set(
     carries its lexicographically least representative system.
     """
     results: list[BouquetSet] = []
-    near = _near(delta, range(len(delta.facets)))
+    near = _near(delta)
 
     def accept(family: Sequence[tuple[int, ...]]) -> BouquetSet | None:
         bouquets = []

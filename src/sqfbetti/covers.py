@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import MonomialIdeal, SqfMonomial, format_monomial, private_bits
+from .core import MonomialIdeal, SqfMonomial, format_monomial
 from .errors import (
     InvalidSplit,
     NotWellOrdered,
@@ -337,10 +337,7 @@ def find_well_ordered_covers(
         ) -> WellOrderedCover:
             nonlocal minimal
             if minimal is None:
-                cover_masks = [masks[i] for i in members]
-                minimal = _covered_mask(masks, members) == I.vars.full_mask and all(
-                    private_bits(cover_masks)
-                )
+                minimal = is_minimal_cover(I, members)
             witnesses = tuple(sorted(carried))
             ok = (
                 minimal
