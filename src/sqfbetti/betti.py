@@ -8,6 +8,7 @@ from .homology import (
     DEFAULT_FACE_CAP,
     FieldSpec,
     RATIONALS,
+    _homology_below,
     homology_below,
 )
 from .lattice import DEFAULT_LATTICE_CAP, build_lattice
@@ -93,19 +94,20 @@ def betti_table(
 
     Only lattice elements can carry nonzero multigraded ranks, so the
     iteration is over LCM(I) rather than all 2^n square-free monomials.
-    face_cap bounds the faces built for one multidegree, which are those
-    left after collapsing (see homology_below), never more than the
-    Taylor faces below m.  If a complex exceeds it, the
-    SizeLimitExceeded carries the multigraded entries (i, m) -> rank of
-    the multidegrees finished before it.
+    face_cap bounds the faces built for one multidegree: those of the
+    complex that homology_below grows after collapsing, on the Taylor
+    rows or on the Stanley-Reisner complex of a large remainder.  If a
+    complex exceeds it, the SizeLimitExceeded carries the multigraded
+    entries (i, m) -> rank of the multidegrees finished before it.
     """
     lat = build_lattice(I, cap=lattice_cap)
+    masks = [g.mask for g in I.gens]
     multigraded = {(0, SqfMonomial.one()): 1}
     for m in lat.elements:
         if m.is_one:
             continue
         try:
-            homology = homology_below(I, m, field, face_cap)
+            homology = _homology_below(masks, m.mask, field.p, face_cap)
         except SizeLimitExceeded as e:
             raise SizeLimitExceeded(str(e), partial=multigraded) from None
         for d, rank in homology.items():

@@ -10,7 +10,7 @@ complements whose halves cover induced subideals.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import MonomialIdeal, SqfMonomial, format_monomial
 from .errors import (
@@ -252,14 +252,14 @@ def enumerate_minimal_covers(
     """All minimal covers, by branching on the lowest uncovered variable.
 
     A branch dies as soon as some chosen member loses its last private
-    variable, since later additions can never restore privacy.
+    variable, since later additions can never restore privacy.  The
+    budget counts the states searched; exceeding it raises
+    SizeLimitExceeded with the covers found so far attached.
     """
-    q = len(I.gens)
-    full = I.vars.full_mask
     found: set[frozenset[int]] = set()
     states = 0
 
-    def dfs(chosen: list[int], covered: int, private: list[int]) -> None:
+    def spent() -> None:
         nonlocal states
         states += 1
         if states > budget:
@@ -268,6 +268,24 @@ def enumerate_minimal_covers(
                 f"minimal cover enumeration exceeded budget {budget}",
                 partial=partial,
             )
+
+    _minimal_covers(I, spent, found)
+    return _by_size(found)
+
+
+def _minimal_covers(
+    I: MonomialIdeal, spent: Callable[[], None], found: set[frozenset[int]]
+) -> None:
+    """Add each minimal cover to found as it is reached.
+
+    spent() is called once per state, before the state is searched, so
+    a spent() that raises can read the covers found so far.
+    """
+    q = len(I.gens)
+    full = I.vars.full_mask
+
+    def dfs(chosen: list[int], covered: int, private: list[int]) -> None:
+        spent()
         if covered == full:
             found.add(frozenset(chosen))
             return
@@ -287,9 +305,11 @@ def enumerate_minimal_covers(
             chosen.pop()
 
     dfs([], 0, [])
-    covers = [Cover(c) for c in found]
-    covers.sort(key=lambda c: (len(c.members), sorted(c.members)))
-    return covers
+
+
+def _by_size(found: Iterable[frozenset[int]]) -> list[Cover]:
+    """The covers ordered by size, then by their sorted members."""
+    return [Cover(c) for c in sorted(found, key=lambda c: (len(c), sorted(c)))]
 
 
 def find_well_ordered_covers(
@@ -306,9 +326,11 @@ def find_well_ordered_covers(
     (remaining members, undischarged non-members) pair, which captures
     everything the future depends on.  With first_only each state stops
     at its first completion, so the memo holds at most one per state and
-    the result is the first sequence of the full search.  The budget
-    counts each state searched plus each sequence completed; exceeding
-    it raises SizeLimitExceeded with the covers found so far attached.
+    the result is the first sequence of the full search.  One budget
+    counts the whole call: each state of the minimal cover enumeration,
+    each state of the ordering search, and each sequence completed.
+    Exceeding it raises SizeLimitExceeded with the well ordered covers
+    found so far attached.
 
     Each memo entry pairs a head (the members at positions 1..j) with the
     (n, position) witnesses discharged inside it.  Positions are filled
@@ -319,12 +341,22 @@ def find_well_ordered_covers(
     witness per non-member, and m_j | lcm(n, m_{j+1}, ..., m_s) holds for
     each; maximality of j rests on the downward fill and is not rechecked.
     """
-    covers = enumerate_minimal_covers(I, budget=budget)
     masks = [g.mask for g in I.gens]
     results: list[WellOrderedCover] = []
     states = 0
 
-    for cover in covers:
+    def spent(count: int = 1) -> None:
+        nonlocal states
+        states += count
+        if states > budget:
+            raise SizeLimitExceeded(
+                f"well ordered cover search exceeded budget {budget}",
+                partial=list(results),
+            )
+
+    found: set[frozenset[int]] = set()
+    _minimal_covers(I, spent, found)
+    for cover in _by_size(found):
         members = sorted(cover.members)
         if size is not None and len(members) != size:
             continue
@@ -356,15 +388,6 @@ def find_well_ordered_covers(
                     ok = False  # m_j does not divide lcm(n, m_{j+1}, ..., m_s)
             assert ok, "emitted sequence fails its witness check"
             return WellOrderedCover(I, seq, witnesses)
-
-        def spent(count: int = 1) -> None:
-            nonlocal states
-            states += count
-            if states > budget:
-                raise SizeLimitExceeded(
-                    f"well ordered cover search exceeded budget {budget}",
-                    partial=list(results),
-                )
 
         memo: dict[tuple[frozenset[int], frozenset[int]], tuple] = {}
 

@@ -35,6 +35,20 @@ linear algebra is left (a collapse in the spirit of discrete Morse
 theory for the Taylor resolution, Batzies-Welker, "Discrete Morse
 theory for cellular resolutions", 2002).
 
+A remainder of two or more rows is grown in one of two ways.  Grown on
+its rows, it can have up to 2^rows faces.  Its union of simplices is
+the nerve of the simplices on the rows, so by the nerve lemma it is
+homotopy equivalent to the complex L that the rows generate over their
+variables U, and L is Alexander dual to the Stanley-Reisner complex
+D' = {F in U : F contains U minus r_a for no row a}, the complex of
+Hochster's formula (Hochster 1977; Miller-Sturmfels, Combinatorial
+Commutative Algebra, Thm. 5.6 and Cor. 5.12).  So over any field
+h_d = h_(|U|-d-3)(D').  A remainder of at least _DUAL_ROWS rows over no
+more variables than rows is grown as D', each variable carrying the
+masks U minus r_a it would complete; every other remainder is grown on
+its rows.  The rule reads only the two counts.  On the 12-cycle's top,
+12 rows over 12 variables, D' has 322 faces against 3774 Taylor faces.
+
 What is left, and the uncollapsed complexes of taylor_faces_below, are
 eliminated exactly.  Each boundary map is built as sparse columns of
 +-1 entries and reduced by one elimination routine in Python integers,
@@ -54,6 +68,9 @@ from .core import MonomialIdeal, SqfMonomial
 from .errors import ParseError, SizeLimitExceeded, SqfBettiError
 
 DEFAULT_FACE_CAP = 2**20
+# a collapse remainder with at least this many rows, over no more
+# variables than rows, is finished on its Stanley-Reisner complex
+_DUAL_ROWS = 8
 
 
 def _is_prime(n: int) -> bool:
@@ -249,6 +266,48 @@ def _grow_faces(rows: Sequence[tuple[int, int]], cap: int) -> list[list[int]]:
     return layers
 
 
+def _grow_dual(rows: Sequence[int], used: int, cap: int) -> list[list[int]]:
+    """Faces of the Stanley-Reisner complex of the rows, as variable masks.
+
+    Over the variables U = used of the rows, a set F of variables is a
+    face iff it contains U minus r_a for no row a: the complex of the
+    monomials outside the ideal that the U minus r_a generate.  Each
+    variable carries the masks U minus r_a that hold it, the ones it can
+    complete, so a face F grows by x iff F | x contains none of x's
+    masks.  layers[k] lists the k-variable faces, grown one variable at
+    a time in ascending order; more than cap faces in all raise
+    SizeLimitExceeded, as in _grow_faces.
+    """
+    gens = [used & ~r for r in rows]
+    forbids = []  # (variable, the masks it forbids)
+    rest = used
+    while rest:
+        x = rest & -rest
+        rest ^= x
+        forbids.append((x, [g for g in gens if g & x]))
+    layers = [[0]]
+    layer = [(0, -1)]  # (face mask, last position in forbids)
+    count = 1
+    while layer:
+        grown = []
+        for fmask, last in layer:
+            for pos in range(last + 1, len(forbids)):
+                x, masks = forbids[pos]
+                f = fmask | x
+                for g in masks:
+                    if g & f == g:
+                        break
+                else:
+                    grown.append((f, pos))
+            if count + len(grown) > cap:
+                raise SizeLimitExceeded(f"face count exceeds cap {cap}", partial=None)
+        if grown:
+            count += len(grown)
+            layers.append([f for f, _ in grown])
+        layer = grown
+    return layers
+
+
 def _maximal(masks: Iterable[int]) -> list[int]:
     """The distinct masks that no other mask strictly contains.
 
@@ -277,19 +336,38 @@ def homology_below(
     computed from a collapsed model.  The complex is the union of the
     simplices D_x over the rows r_g = m minus g of the generators g | m;
     two or more of them form an antichain of distinct nonzero masks.
-    The three rules of the module docstring run until none fires.  C is
-    found in one pass over the rows, as the variables in all rows but
-    one, and peels the row missed by the lowest of them in row 0, or row
-    0 if none lies there; A runs only when C does not fire, and B after
-    each cut.  Only what is left is grown and eliminated, and cap counts
-    its faces.
+    _collapse runs the three rules of the module docstring, and _finish
+    grows and eliminates only what is left, on the Taylor rows or, for a
+    large remainder, on its Stanley-Reisner complex; cap counts the
+    faces of whichever complex is built.
     m = 1 gives the Void complex: no homology at all.
     """
     if m.is_one:
         return {}
-    top = m.mask
+    return _homology_below([g.mask for g in I.gens], m.mask, field.p, cap)
+
+
+def _homology_below(
+    masks: Sequence[int], top: int, p: int | None, cap: int
+) -> dict[int, int]:
+    """homology_below on the generator masks, for the multidegree top != 0."""
     # an antichain of distinct masks, since r_a is in r_b iff g_b | g_a
-    rows = [top & ~g.mask for g in I.gens if g.mask | top == top]
+    rows, shift = _collapse([top & ~g for g in masks if g | top == top])
+    if len(rows) < 2:
+        # {empty face} when the row is 0 or there is none, else a cone
+        return {shift - 1: 1} if not rows or not rows[0] else {}
+    return {d + shift: h for d, h in _finish(rows, p, cap).items()}
+
+
+def _collapse(rows: list[int]) -> tuple[list[int], int]:
+    """Apply the rules until none fires: the rows left and the degree shift.
+
+    C is found in one pass over the rows, as the variables in all rows
+    but one, and peels the row missed by the lowest of them in row 0, or
+    row 0 if none lies there; A runs only when C does not fire, and B
+    after each cut.  The homology of the input rows is that of the rows
+    left, raised by the shift.
+    """
     shift = 0
     while len(rows) > 1:
         # no row is 0, so each a below is a vertex; A empties no row
@@ -323,16 +401,48 @@ def homology_below(
                 keep |= owner[c]
             rows = [ra & keep for ra in rows]
         rows = _maximal(rows)  # B: dominated generators, after a cut
-    if len(rows) < 2:
-        # {empty face} when the row is 0 or there is none, else a cone
-        return {shift - 1: 1} if not rows or not rows[0] else {}
-    layers = _grow_faces(list(enumerate(rows)), cap)
-    ranks = _boundary_ranks(layers, field.p)
+    return rows, shift
+
+
+def _finish(rows: Sequence[int], p: int | None, cap: int) -> dict[int, int]:
+    """Nonzero reduced homology {d: h_d} of the union of the D_x of the rows.
+
+    rows are two or more distinct nonzero masks, none containing
+    another.  At least _DUAL_ROWS rows over no more variables than rows
+    are finished on their Stanley-Reisner complex, any others on the
+    rows themselves (see the module docstring).
+    """
+    used = 0
+    for r in rows:
+        used |= r
+    if len(rows) >= _DUAL_ROWS and used.bit_count() <= len(rows):
+        return _dual_homology(rows, p, cap)
+    return _layer_homology(_grow_faces(list(enumerate(rows)), cap), p)
+
+
+def _dual_homology(rows: Sequence[int], p: int | None, cap: int) -> dict[int, int]:
+    """_finish on the Stanley-Reisner complex D' of any rows it accepts.
+
+    Degree e of D' is degree |U| - e - 3 of the rows, U the variables
+    they hold (nerve lemma and Alexander duality; see the module
+    docstring).
+    """
+    used = 0
+    for r in rows:
+        used |= r
+    n = used.bit_count()
+    layers = _grow_dual(rows, used, cap)
+    return {n - 3 - e: h for e, h in _layer_homology(layers, p).items()}
+
+
+def _layer_homology(layers: Sequence[list[int]], p: int | None) -> dict[int, int]:
+    """Nonzero reduced homology {d: h_d} of faces grown in layers."""
+    ranks = _boundary_ranks(layers, p)
     out = {}
     for k, layer in enumerate(layers):
         h = len(layer) - ranks.get(k - 1, 0) - ranks.get(k, 0)
         if h:
-            out[k - 1 + shift] = h
+            out[k - 1] = h
     return out
 
 

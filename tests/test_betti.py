@@ -1,4 +1,7 @@
+import importlib.util
 import random
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +200,48 @@ def test_face_cap_counts_collapsed_faces(three_brooms, three_brooms_table):
     table = betti_table(three_brooms, face_cap=5)
     assert table.multigraded == three_brooms_table.multigraded
 
+
+
+def cycle(n):
+    return parse_ideal_text("\n".join(f"x{i} x{(i + 1) % n}" for i in range(n)))
+
+
+def test_face_cap_counts_stanley_reisner_faces():
+    # the 12-cycle's top is finished on its Stanley-Reisner complex of 322
+    # faces, and no other multidegree grows any face
+    I = cycle(12)
+    table = betti_table(I, face_cap=322)
+    assert table.multigraded == betti_table(I).multigraded
+    assert table.multigraded[(8, I.top())] == 2
+    with pytest.raises(SizeLimitExceeded) as e:
+        betti_table(I, face_cap=321)
+    assert e.value.partial == {
+        (i, m): rank for (i, m), rank in table.multigraded.items() if m != I.top()
+    }
+
+
+def load_oracle():
+    """The benchmark's package-independent output checks."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_edge_ideal_of_a_12_vertex_graph():
+    # 18 of the 66 vertex pairs: remainders of up to 12 rows take the
+    # Stanley-Reisner path, and the Moebius identity checks every entry
+    edges = random.Random(0).sample(list(combinations(range(12), 2)), 18)
+    gens = [f"x{a} x{b}" for a, b in edges]
+    I = parse_ideal_text("\n".join(gens))
+    table = betti_table(I)
+    assert table.totals() == (1, 18, 81, 202, 300, 275, 161, 59, 12, 1)
+    oracle = load_oracle()
+    frame = oracle.Frame(gens)
+    translate = frame.translator(I.vars.names)
+    multigraded = {(i, translate(m.mask)): r for (i, m), r in table.multigraded.items()}
+    assert oracle.check_mobius(frame, multigraded) is None
 
 # Stanley-Reisner ideal of the 6-vertex real projective plane
 RP2_6 = (

@@ -365,31 +365,50 @@ def taylor_homology(I, m, field):
     return {d: h for d, h in ranks.homology_ranks.items() if h}
 
 
+def rows_below(I, m):
+    """The uncollapsed rows r_g = m minus g of the generators g | m."""
+    return [m.mask & ~g.mask for g in I.gens if g.divides(m)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 @example(0)  # has two variables with equal columns below some m
 def test_collapse_matches_taylor_complex(seed):
+    # homology_below, and the Stanley-Reisner path on the uncollapsed
+    # rows, against the Taylor complex itself
     I = random_sqf_ideal(random.Random(seed), max_vars=10, max_gens=10)
     for m in build_lattice(I).elements:
+        rows = rows_below(I, m)
         for field in COLLAPSE_FIELDS:
-            assert homology_below(I, m, field) == taylor_homology(I, m, field)
+            expect = taylor_homology(I, m, field)
+            assert homology_below(I, m, field) == expect
+            if len(rows) >= 2:
+                assert homology._dual_homology(rows, field.p, 2**20) == expect
 
 
 @pytest.fixture
 def eliminated(monkeypatch):
-    """The row counts of the complexes that reach the face grower.
+    """What reaches a face grower: (rows as sorted masks, path, faces).
 
-    taylor_faces_below grows its faces there too, so a test reads this
-    before it calls the oracle.
+    The path is "taylor" for _grow_faces and "dual" for the
+    Stanley-Reisner grower.  taylor_faces_below grows its faces in
+    _grow_faces too, so a test reads this before it calls the oracle.
     """
     calls = []
-    grow = homology._grow_faces
+    grow, grow_dual = homology._grow_faces, homology._grow_dual
 
     def recording(rows, cap):
-        calls.append(len(rows))
-        return grow(rows, cap)
+        layers = grow(rows, cap)
+        calls.append((tuple(sorted(r for _, r in rows)), "taylor", sum(map(len, layers))))
+        return layers
+
+    def recording_dual(rows, used, cap):
+        layers = grow_dual(rows, used, cap)
+        calls.append((tuple(sorted(rows)), "dual", sum(map(len, layers))))
+        return layers
 
     monkeypatch.setattr(homology, "_grow_faces", recording)
+    monkeypatch.setattr(homology, "_grow_dual", recording_dual)
     return calls
 
 
@@ -420,60 +439,74 @@ def test_collapse_of_private_variables(k, eliminated):
 
 def test_rp2_6_is_not_collapsed(eliminated):
     # its minimal nonfaces are the ten triples that are not facets; no
-    # rule fires on them, so the characteristic shows in the elimination
+    # rule fires on them, so the characteristic shows in the elimination.
+    # Ten rows over six variables take the Stanley-Reisner path, whose
+    # complex at the top is RP^2_6 itself: 1 + 6 + 15 + 10 faces
     nonfaces = [
         " ".join(f"x{v + 1}" for v in t)
         for t in combinations(range(6), 3)
         if sum(1 << v for v in t) not in RP2_6_FACETS
     ]
     I = parse_ideal_text("\n".join(nonfaces))
+    rows = rows_below(I, I.top())
+    assert homology._collapse(list(rows)) == (rows, 0)
     assert homology_below(I, I.top(), RATIONALS) == {}
     assert homology_below(I, I.top(), FieldSpec(2)) == {1: 1, 2: 1}
     assert homology_below(I, I.top(), FieldSpec(3)) == {}
-    assert eliminated == [10, 10, 10]
+    assert eliminated == [(tuple(sorted(rows)), "dual", 32)] * 3
+    assert homology._dual_homology(rows, 2, 32) == {1: 1, 2: 1}
 
 
 def test_cycle12_eliminates_only_its_top(eliminated):
     I = parse_ideal_text("\n".join(f"x{i} x{(i + 1) % 12}" for i in range(12)))
     reached = []
     for m in build_lattice(I).elements:
-        before = len(eliminated)
+        rows, _ = homology._collapse(rows_below(I, m))
+        if len(rows) > 1:
+            reached.append((m, len(rows)))
         homology_below(I, m)
-        if len(eliminated) > before:
-            reached.append(m)
-    assert reached == [I.top()]
-    assert eliminated == [12]
+    assert reached == [(I.top(), 12)]
+    # the top's Stanley-Reisner complex is the independence complex of
+    # the cycle, with 322 faces against the 3774 Taylor faces of its rows
+    rows = tuple(sorted(rows_below(I, I.top())))
+    assert eliminated == [(rows, "dual", 322)]
     assert homology_below(I, I.top()) == {6: 2}
+    assert homology._dual_homology(rows, None, 322) == {6: 2}
     assert taylor_homology(I, I.top(), RATIONALS) == {6: 2}
 
 
-# what reaches the face grower in whole tables: each call's rows as a
-# sorted tuple of variable masks, and the faces grown from them, which
-# are what face_cap counts; star_cluster reaches three remainders
-P, Q, R = ((16, 64, 256), 4), ((64, 128, 256), 4), ((80, 144, 192, 272, 384), 16)
+# the remainders the collapse leaves in whole tables, as sorted tuples
+# of variable masks, with the path each takes and the faces it grows,
+# which are what face_cap counts; star_cluster leaves three remainders
+P, Q, R = (
+    ((16, 64, 256), "taylor", 4),
+    ((64, 128, 256), "taylor", 4),
+    ((80, 144, 192, 272, 384), "taylor", 16),
+)
 REMAINDERS = {
     "star_cluster": [P, Q, R, P, Q, Q, P, Q, R, Q, R],
     "cycle12": [
         (
             (1023, 2046, 2559, 3327, 3711, 3903, 3999, 4047, 4071, 4083, 4089, 4092),
-            3774,
+            "dual",
+            322,
         )
     ],
-    "three_brooms": [((1, 4, 16), 4)] * 4,
+    "three_brooms": [((1, 4, 16), "taylor", 4)] * 4,
     "rp2_6": [
-        ((3, 5, 10, 20, 24), 11),
-        ((3, 6, 9, 36, 40), 11),
-        ((5, 6, 17, 34, 48), 11),
-        ((9, 10, 18, 33, 48), 11),
-        ((12, 17, 20, 33, 40), 11),
-        ((12, 18, 24, 34, 36), 11),
-        ((13, 14, 19, 22, 25, 35, 37, 42, 52, 56), 152),
+        ((3, 5, 10, 20, 24), "taylor", 11),
+        ((3, 6, 9, 36, 40), "taylor", 11),
+        ((5, 6, 17, 34, 48), "taylor", 11),
+        ((9, 10, 18, 33, 48), "taylor", 11),
+        ((12, 17, 20, 33, 40), "taylor", 11),
+        ((12, 18, 24, 34, 36), "taylor", 11),
+        ((13, 14, 19, 22, 25, 35, 37, 42, 52, 56), "dual", 32),
     ],
 }
 
 
 @pytest.mark.parametrize("name", sorted(REMAINDERS))
-def test_collapse_remainders_are_pinned(name, monkeypatch, star_cluster, three_brooms):
+def test_collapse_remainders_are_pinned(name, eliminated, star_cluster, three_brooms):
     I = {
         "star_cluster": star_cluster,
         "cycle12": parse_ideal_text(
@@ -482,14 +515,12 @@ def test_collapse_remainders_are_pinned(name, monkeypatch, star_cluster, three_b
         "three_brooms": three_brooms,
         "rp2_6": parse_ideal_text("\n".join(RP2_6)),
     }[name]
-    calls = []
-    grow = homology._grow_faces
-
-    def recording(rows, cap):
-        layers = grow(rows, cap)
-        calls.append((tuple(sorted(r for _, r in rows)), sum(map(len, layers))))
-        return layers
-
-    monkeypatch.setattr(homology, "_grow_faces", recording)
+    remainders = []
+    for m in build_lattice(I).elements:
+        if not m.is_one:
+            rows, _ = homology._collapse(rows_below(I, m))
+            if len(rows) > 1:
+                remainders.append(tuple(sorted(rows)))
+    assert remainders == [rows for rows, _, _ in REMAINDERS[name]]
     betti_table(I)
-    assert calls == REMAINDERS[name]
+    assert eliminated == REMAINDERS[name]
