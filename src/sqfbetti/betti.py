@@ -96,7 +96,8 @@ def betti_table(
     iteration is over LCM(I) rather than all 2^n square-free monomials.
     face_cap bounds the faces built for one multidegree: those of the
     complex that homology_below grows after collapsing, on the Taylor
-    rows or on the Stanley-Reisner complex of a large remainder.  If a
+    rows or on their Stanley-Reisner complex, whichever bounds fewer
+    faces (see the homology module docstring).  If a
     complex exceeds it, the SizeLimitExceeded carries the multigraded
     entries (i, m) -> rank of the multidegrees finished before it.
     """

@@ -370,6 +370,14 @@ def rows_below(I, m):
     return [m.mask & ~g.mask for g in I.gens if g.divides(m)]
 
 
+def dual_homology(rows, p, cap=2**20):
+    """homology._dual_homology on rows, with U their union."""
+    used = 0
+    for r in rows:
+        used |= r
+    return homology._dual_homology(rows, used, p, cap)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 @example(0)  # has two variables with equal columns below some m
@@ -383,7 +391,7 @@ def test_collapse_matches_taylor_complex(seed):
             expect = taylor_homology(I, m, field)
             assert homology_below(I, m, field) == expect
             if len(rows) >= 2:
-                assert homology._dual_homology(rows, field.p, 2**20) == expect
+                assert dual_homology(rows, field.p) == expect
 
 
 @pytest.fixture
@@ -454,7 +462,7 @@ def test_rp2_6_is_not_collapsed(eliminated):
     assert homology_below(I, I.top(), FieldSpec(2)) == {1: 1, 2: 1}
     assert homology_below(I, I.top(), FieldSpec(3)) == {}
     assert eliminated == [(tuple(sorted(rows)), "dual", 32)] * 3
-    assert homology._dual_homology(rows, 2, 32) == {1: 1, 2: 1}
+    assert dual_homology(rows, 2, 32) == {1: 1, 2: 1}
 
 
 def test_cycle12_eliminates_only_its_top(eliminated):
@@ -471,8 +479,25 @@ def test_cycle12_eliminates_only_its_top(eliminated):
     rows = tuple(sorted(rows_below(I, I.top())))
     assert eliminated == [(rows, "dual", 322)]
     assert homology_below(I, I.top()) == {6: 2}
-    assert homology._dual_homology(rows, None, 322) == {6: 2}
+    assert dual_homology(rows, None, 322) == {6: 2}
     assert taylor_homology(I, I.top(), RATIONALS) == {6: 2}
+
+
+@pytest.mark.parametrize("n", [8, 21])
+def test_many_small_rows_stay_on_the_rows(n, eliminated):
+    # generators x_U / (x_i x_(i+1)) around an n-cycle: at the top the
+    # rows are the n edges, and no rule fires.  Their faces form the
+    # cycle itself, 1 + n + n of them (bound 3n + 1), while D' holds
+    # every non-face of the cycle, 2^n - 2n - 1 (bound 2^n)
+    U = [f"x{i}" for i in range(n)]
+    I = parse_ideal_text(
+        "\n".join(" ".join(U[:i] + U[i + 2 :] if i < n - 1 else U[1:-1]) for i in range(n))
+    )
+    table = betti_table(I)
+    rows = tuple(sorted(rows_below(I, I.top())))
+    assert eliminated == [(rows, "taylor", 2 * n + 1)]
+    assert homology_below(I, I.top()) == {1: 1} == taylor_homology(I, I.top(), RATIONALS)
+    assert table.multigraded[(3, I.top())] == 1
 
 
 # the remainders the collapse leaves in whole tables, as sorted tuples
@@ -481,7 +506,7 @@ def test_cycle12_eliminates_only_its_top(eliminated):
 P, Q, R = (
     ((16, 64, 256), "taylor", 4),
     ((64, 128, 256), "taylor", 4),
-    ((80, 144, 192, 272, 384), "taylor", 16),
+    ((80, 144, 192, 272, 384), "dual", 6),
 )
 REMAINDERS = {
     "star_cluster": [P, Q, R, P, Q, Q, P, Q, R, Q, R],
