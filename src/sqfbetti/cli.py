@@ -764,6 +764,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for name, value in vars(args).items():
+            # argparse drops a "--" given as an option's value ("--gens=--")
+            # and stores an empty list in its place
+            if value == []:
+                raise ParseError(f"argument --{name.replace('_', '-')}: expected a value")
         if getattr(args, "run", None) is None:
             parser.print_usage(sys.stderr)
             raise ParseError("a subcommand is required")

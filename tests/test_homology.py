@@ -26,7 +26,7 @@ from sqfbetti.homology import faces_by_dimension, homology_below
 
 from conftest import mk, random_sqf_ideal
 from dense import boundary_matrix
-from test_betti import RP2_6
+from test_betti import RP2_6, cycle
 
 
 def closure(masks):
@@ -466,7 +466,7 @@ def test_rp2_6_is_not_collapsed(eliminated):
 
 
 def test_cycle12_eliminates_only_its_top(eliminated):
-    I = parse_ideal_text("\n".join(f"x{i} x{(i + 1) % 12}" for i in range(12)))
+    I = cycle(12)
     reached = []
     for m in build_lattice(I).elements:
         rows, _ = homology._collapse(rows_below(I, m))
@@ -508,8 +508,25 @@ P, Q, R = (
     ((64, 128, 256), "taylor", 4),
     ((80, 144, 192, 272, 384), "dual", 6),
 )
+# edge ideal of a random graph on 10 vertices, as in perfbench/inputs.py
+GRAPH10 = (
+    "v0 v1", "v0 v2", "v0 v7", "v1 v7", "v2 v3", "v2 v6",
+    "v3 v4", "v3 v7", "v3 v8", "v4 v9", "v5 v9", "v8 v9",
+)
+# graph10 leaves the most remainders of the benchmark's ideals, seven distinct
+A, B, C, D, E, F, G = (
+    ((1, 2, 8), "taylor", 4),
+    ((5, 9, 20, 24), "taylor", 9),
+    ((80, 144, 320, 384), "taylor", 9),
+    ((7, 11, 21, 22, 26, 28), "dual", 10),
+    ((91, 155, 331, 395, 451, 465, 466, 472), "dual", 26),
+    ((93, 157, 333, 397, 453, 457, 468, 472), "dual", 29),
+    ((95, 159, 335, 399, 455, 459, 469, 470, 474, 476), "dual", 41),
+)
 REMAINDERS = {
     "star_cluster": [P, Q, R, P, Q, Q, P, Q, R, Q, R],
+    "graph10": [A, B, C, D] + [A] * 8 + [C, B, D, C, E, A, F, B, B, G, D, D, B, D],
+    "cycle10": [((255, 510, 639, 831, 927, 975, 999, 1011, 1017, 1020), "dual", 123)],
     "cycle12": [
         (
             (1023, 2046, 2559, 3327, 3711, 3903, 3999, 4047, 4071, 4083, 4089, 4092),
@@ -534,9 +551,9 @@ REMAINDERS = {
 def test_collapse_remainders_are_pinned(name, eliminated, star_cluster, three_brooms):
     I = {
         "star_cluster": star_cluster,
-        "cycle12": parse_ideal_text(
-            "\n".join(f"x{i} x{(i + 1) % 12}" for i in range(12))
-        ),
+        "graph10": parse_ideal_text("\n".join(GRAPH10)),
+        "cycle10": cycle(10),
+        "cycle12": cycle(12),
         "three_brooms": three_brooms,
         "rp2_6": parse_ideal_text("\n".join(RP2_6)),
     }[name]
