@@ -17,17 +17,25 @@ B. Drop a row contained in another row, and all but one of equal rows:
 C. If a variable lies in every row but r_a, the complex without a is a
    simplex, so the complex is homotopy equivalent to the suspension of
    the link of a: remove a, intersect every other row with r_a, and
-   raise the degree shift by one.
+   raise the degree shift by one.  A variable in every row makes the
+   complex a simplex, a cone.
 
 The rules run on plain masks.  The first rows form an antichain of
 distinct masks, because r_a lies in r_b iff g_b divides g_a and the
 generators are minimal; so B first fires after C or A has cut rows,
 and runs after each cut.  C is tried first: one pass over the rows
 keeps the variables in every row so far and those in all of them but
-one, and the latter are the variables that miss exactly one row.  The
-lowest of them that lies in row 0 names the row to peel, the one it
-misses; if none lies in row 0, row 0 is peeled.  Only when C does not
-fire are the variable columns built, for A.
+one.  A variable left in every row ends the collapse with a cone.
+Each variable that misses exactly one row names that row, and every
+named row is peeled in row order, keeping ra, the product of the rows
+peeled so far.  A variable that misses only r_a lies in every other
+row, the earlier peeled ones too, so after their peels it still misses
+only a's row, now r_a & ra: a is peeled while that row is nonzero and
+some other row is left, and the last row is kept if no other is.  If
+r_a & ra is 0, a is no vertex, and every row left holds a's variable:
+a nonempty simplex, so a cone.  The rows kept are then intersected
+with ra, and B runs once.  Only when C does not fire are the variable
+columns built, for A.
 
 The rules are combinatorial and hold over every field; for most
 multidegrees they leave one row, a point or {empty face}, and no
@@ -362,11 +370,12 @@ def _homology_below(
 def _collapse(rows: list[int]) -> tuple[list[int], int]:
     """Apply the rules until none fires: the rows left and the degree shift.
 
-    C is found in one pass over the rows, as the variables in all rows
-    but one, and peels the row missed by the lowest of them in row 0, or
-    row 0 if none lies there; A runs only when C does not fire, and B
-    after each cut.  The homology of the input rows is that of the rows
-    left, raised by the shift.
+    One pass over the rows finds the variables in every row, which make
+    the complex a simplex, and those in all rows but one; C peels every
+    row that one of the latter misses in that pass.  A runs only when C
+    does not fire, and B after each cut.  The homology of the input rows
+    is that of the rows left, raised by the shift; a cone is left as one
+    nonzero row.
     """
     shift = 0
     while len(rows) > 1:
@@ -375,14 +384,22 @@ def _collapse(rows: list[int]) -> tuple[list[int], int]:
         for r in rows:
             but_one = but_one & r | every & ~r
             every &= r
+        if every:
+            return [every], shift  # D_x holds every vertex: a simplex
         if but_one:
             # C: x in every row but r_a makes del(a) a simplex, and the
-            # complex the suspension of link(a); x lies in row 0 if it can
-            x = but_one & rows[0] or but_one
-            x &= -x
-            ra = rows.pop(next(a for a, r in enumerate(rows) if not r & x))
-            rows = [rb & ra for rb in rows]
-            shift += 1
+            # complex the suspension of link(a).  x lies in every row
+            # peeled before a, so it still misses only a's row
+            peeled = [r for r in rows if but_one & ~r]
+            kept = [r for r in rows if not but_one & ~r] or [peeled.pop()]
+            ra = -1  # the product of the rows peeled so far
+            for r in peeled:
+                if not r & ra:
+                    # a is no vertex and x lies in every row left: a simplex
+                    return [ra], shift
+                ra &= r
+                shift += 1
+            rows = [rb & ra for rb in kept]
         else:
             holders: dict[int, int] = {}  # variable -> mask of the rows holding it
             for a, ra in enumerate(rows):

@@ -13,9 +13,11 @@ from sqfbetti import (
     FaceSet,
     FieldSpec,
     SqfMonomial,
+    VariableTable,
     betti_table,
     build_lattice,
     matrix_rank,
+    normalize_generators,
     parse_ideal_text,
     reduced_homology_ranks,
     taylor_faces_below,
@@ -429,8 +431,8 @@ def test_collapse_at_a_generator(three_brooms, eliminated):
 
 
 def test_collapse_of_a_cone(path3, eliminated):
-    # below xyzu the faces form the path xy - yz - zu: x and z are
-    # dominated, then the middle row contains both others
+    # below xyzu the faces form the path xy - yz - zu: rule C names both
+    # end rows, and peeling one empties the other (test below)
     assert homology_below(path3, path3.top()) == {}
     assert eliminated == []
 
@@ -438,11 +440,77 @@ def test_collapse_of_a_cone(path3, eliminated):
 @pytest.mark.parametrize("k", range(1, 6))
 def test_collapse_of_private_variables(k, eliminated):
     # k generators p_i * s: every proper subset stays below the top, the
-    # boundary of a (k-1)-simplex, and each peel of rule C drops one vertex
+    # boundary of a (k-1)-simplex.  p_i misses only row i, so rule C peels
+    # all rows but the last in one pass, and that row is left empty
     I = parse_ideal_text("\n".join(f"p{i} s" for i in range(k)))
     for field in COLLAPSE_FIELDS:
         assert homology_below(I, I.top(), field) == {k - 2: 1}
     assert eliminated == []
+    if k > 1:
+        assert homology._collapse(rows_below(I, I.top())) == ([0], k - 1)
+
+
+def ideal_of_rows(rows):
+    """The ideal whose rows below its top are rows: g_a = U minus r_a.
+
+    Every variable of U must miss some row, so that the generators
+    cover it; rows must form an antichain, so that they stay minimal.
+    """
+    used = 0
+    for r in rows:
+        used |= r
+    names = VariableTable([f"x{i}" for i in range(used.bit_length())])
+    return normalize_generators([SqfMonomial(used & ~r) for r in rows], names)
+
+
+def test_collapse_peels_every_named_row_in_one_pass(monkeypatch):
+    # the four edges of a 4-cycle, each with three private variables
+    # p_0, p_1, p_2, and three rows holding the cycle's variables and all
+    # p_j but p_j: each p_j misses only its row, so one pass peels the
+    # three and leaves the cycle, a circle, three degrees up
+    cycle = [0b0011, 0b0110, 0b1100, 0b1001]
+    private = 0b111 << 4
+    rows = [e | private for e in cycle] + [0b1111 | private & ~(1 << 4 + j) for j in range(3)]
+    seen = []
+    maximal = homology._maximal
+
+    def recording(masks):
+        seen.append(sorted(masks))
+        return maximal(masks)
+
+    monkeypatch.setattr(homology, "_maximal", recording)
+    left, shift = homology._collapse(rows)
+    assert (sorted(left), shift) == (sorted(cycle), 3)
+    assert seen[0] == sorted(cycle)  # B ran once, after all three peels
+    I = ideal_of_rows(rows)
+    assert sorted(rows_below(I, I.top())) == sorted(rows)
+    for field in COLLAPSE_FIELDS:
+        assert homology_below(I, I.top(), field) == {4: 1} == taylor_homology(I, I.top(), field)
+
+
+def test_collapse_of_a_peeled_row_left_empty(path3):
+    # the rows of path3's top, z u | x u | x y: x misses only the first row
+    # and u only the last.  After the first is peeled the last is x y & z u
+    # = 0, no vertex, and the middle row holds u: a point, so a cone
+    rows = rows_below(path3, path3.top())
+    assert rows == [0b1100, 0b1001, 0b0011]
+    assert homology._collapse(list(rows)) == ([0b1100], 1)
+    for field in COLLAPSE_FIELDS:
+        assert homology_below(path3, path3.top(), field) == {}
+        assert taylor_homology(path3, path3.top(), field) == {}
+
+
+def test_collapse_of_a_variable_in_every_row(triangle_tail):
+    # below xyzb, a multidegree outside the lattice, only the triangle's
+    # edges divide, and b lies in every row: the full triangle, a cone
+    m = SqfMonomial.from_names(triangle_tail.vars, "xyzb")
+    b = SqfMonomial.from_names(triangle_tail.vars, "b").mask
+    rows = rows_below(triangle_tail, m)
+    assert len(rows) == 3 and all(r & b for r in rows)
+    assert homology._collapse(rows) == ([b], 0)
+    for field in COLLAPSE_FIELDS:
+        assert homology_below(triangle_tail, m, field) == {}
+        assert taylor_homology(triangle_tail, m, field) == {}
 
 
 def test_rp2_6_is_not_collapsed(eliminated):
