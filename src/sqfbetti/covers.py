@@ -279,32 +279,33 @@ def _minimal_covers(
     """Add each minimal cover to found as it is reached.
 
     spent() is called once per state, before the state is searched, so
-    a spent() that raises can read the covers found so far.
+    a spent() that raises can read the covers found so far.  A generator
+    tried for the lowest uncovered variable is barred from the states
+    below its later siblings, so each cover is reached once, along the
+    path that takes its lowest member holding that variable each time.
     """
-    q = len(I.gens)
+    masks = [g.mask for g in I.gens]
     full = I.vars.full_mask
 
-    def dfs(chosen: list[int], covered: int, private: list[int]) -> None:
+    def dfs(chosen: list[int], covered: int, private: list[int], barred: int) -> None:
         spent()
         if covered == full:
             found.add(frozenset(chosen))
             return
         v = (~covered & full) & -(~covered & full)  # lowest uncovered bit
-        for g in range(q):
-            gmask = I.gens[g].mask
-            if not gmask & v or g in chosen:
+        for g, gmask in enumerate(masks):
+            # v is uncovered, so a chosen generator never holds it
+            if not gmask & v or barred >> g & 1:
                 continue
             new_private = [p & ~gmask for p in private]
             if any(not p for p in new_private):
                 continue
-            mine = gmask & ~covered
-            if not mine:
-                continue  # adds nothing new, so it can never own a variable
             chosen.append(g)
-            dfs(chosen, covered | gmask, new_private + [mine])
+            dfs(chosen, covered | gmask, new_private + [gmask & ~covered], barred)
             chosen.pop()
+            barred |= 1 << g
 
-    dfs([], 0, [])
+    dfs([], 0, [], 0)
 
 
 def _by_size(found: Iterable[frozenset[int]]) -> list[Cover]:

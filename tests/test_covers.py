@@ -22,6 +22,7 @@ from sqfbetti import (
 from sqfbetti.covers import (
     CONDITION_COPRIME_PARTS,
     CONDITION_INDUCED_EQUALS_PREFIX,
+    _minimal_covers,
     _ordered_cover,
 )
 from sqfbetti.errors import (
@@ -75,6 +76,36 @@ def test_minimal_covers_on_randoms_are_minimal():
             for member in c.members:
                 smaller = c.members - {member}
                 assert not is_minimal_cover(I, smaller) or not smaller
+
+
+class CountingSet(set):
+    """A set that counts every add, repeats included."""
+
+    adds = 0
+
+    def add(self, item):
+        self.adds += 1
+        super().add(item)
+
+
+def test_enumeration_reaches_each_minimal_cover_once(star_cluster, three_brooms, triangle_tail):
+    # a generator tried for the lowest uncovered variable is barred below
+    # its later siblings, so no cover is completed twice; the subsets
+    # decided one by one show that none is lost
+    rng = random.Random(5)
+    ideals = [star_cluster, three_brooms, triangle_tail]
+    ideals += [random_sqf_ideal(rng, max_vars=7, max_gens=7) for _ in range(25)]
+    for I in ideals:
+        found = CountingSet()
+        _minimal_covers(I, lambda: None, found)
+        q = len(I.gens)
+        assert found.adds == len(found) == len(enumerate_minimal_covers(I))
+        assert found == {
+            frozenset(c)
+            for k in range(1, q + 1)
+            for c in itertools.combinations(range(q), k)
+            if is_minimal_cover(I, c)
+        }
 
 
 def test_accepted_well_ordered_cover(four_triangles):
@@ -456,10 +487,10 @@ def test_splits_match_the_induced_subideal_definition():
 # budget also counts the 66, 105, 100 and 20 states of the minimal cover
 # enumeration
 CERTIFY_SEARCHES = {
-    "star_cluster": (36_960, 123_029, 1_760),
-    "cycle12": (15_120, 50_910, 5_005),
-    "three_brooms": (6_720, 19_852, 177),
-    "triangle_tail": (64, 295, 35),
+    "star_cluster": (36_960, 123_015, 1_746),
+    "cycle12": (15_120, 50_890, 4_985),
+    "three_brooms": (6_720, 19_779, 104),
+    "triangle_tail": (64, 292, 32),
 }
 
 
@@ -501,9 +532,11 @@ def test_search_budget_is_pinned(request, name, first_only):
 
 
 def test_search_budget_covers_the_enumeration(three_brooms):
-    # the enumeration's 100 states are spent from the search's budget, so
+    # the enumeration's 27 states are spent from the search's budget, so
     # running out there leaves no well ordered cover, not a list of covers
-    assert enumerate_minimal_covers(three_brooms, budget=100)
+    assert enumerate_minimal_covers(three_brooms, budget=27)
+    with pytest.raises(SizeLimitExceeded):
+        enumerate_minimal_covers(three_brooms, budget=26)
     with pytest.raises(SizeLimitExceeded) as e:
-        find_well_ordered_covers(three_brooms, first_only=True, budget=100)
+        find_well_ordered_covers(three_brooms, first_only=True, budget=27)
     assert e.value.partial == []
