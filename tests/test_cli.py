@@ -10,7 +10,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqfbetti.cli import _json_text, main
@@ -690,6 +690,7 @@ _FUZZ_CALLS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(_FUZZ_CALLS)
+@example((["covers", "--minimal", "--gens=--"], None))  # argparse stores [] for "--"
 def test_fuzzed_input_fails_only_with_a_domain_error(call):
     argv, stdin = call
     out, err = io.StringIO(), io.StringIO()
