@@ -123,7 +123,7 @@ def _parse_monomial(I: MonomialIdeal, text: str) -> SqfMonomial:
 
 def _resolve_generator(I: MonomialIdeal, entry: str) -> int:
     entry = entry.strip()
-    if entry.isdigit():
+    if entry.isascii() and entry.isdigit():  # "¹".isdigit() too, but int() refuses it
         index = int(entry)
         if not 0 <= index < len(I.gens):
             raise ParseError(f"generator index {index} out of range")

@@ -691,6 +691,7 @@ _FUZZ_CALLS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(_FUZZ_CALLS)
 @example((["covers", "--minimal", "--gens=--"], None))  # argparse stores [] for "--"
+@example((["covers", "--gens", GENS_A, "--alpha", "--sequence=\u00b9"], None))  # a digit, not an int
 def test_fuzzed_input_fails_only_with_a_domain_error(call):
     argv, stdin = call
     out, err = io.StringIO(), io.StringIO()

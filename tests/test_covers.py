@@ -484,7 +484,7 @@ def test_splits_match_the_induced_subideal_definition():
 
 # the ideals of the benchmark's certify workload: their sequence counts,
 # and the least search budgets that complete (all, first_only); the
-# budget also counts the 66, 105, 100 and 20 states of the minimal cover
+# budget also counts the 52, 85, 27 and 17 states of the minimal cover
 # enumeration
 CERTIFY_SEARCHES = {
     "star_cluster": (36_960, 123_015, 1_746),
