@@ -10,9 +10,20 @@ from __future__ import annotations
 
 from .betti import BettiTable, betti_table, t_max
 from .core import MonomialIdeal, SqfMonomial
-from .errors import OutOfRange
+from .errors import OutOfRange, SqfBettiError
 from .homology import RATIONALS, FieldSpec
 from .lattice import complementary
+
+
+def _table_for(
+    I: MonomialIdeal, field: FieldSpec, table: BettiTable | None
+) -> BettiTable:
+    """table, checked to be I's over field; computed when None."""
+    if table is None:
+        return betti_table(I, field=field)
+    if (table.field, table.ideal) != (field, I):
+        raise SqfBettiError("table was built over another field or ideal")
+    return table
 
 
 class SubadditivityReport:
@@ -60,9 +71,9 @@ def verify_subadditivity(
 
     with_witnesses additionally records, for every such pair, the first
     complement witness pair found (an empty list when none exists).
+    A table over another field or ideal raises SqfBettiError.
     """
-    if table is None:
-        table = betti_table(I, field=field)
+    table = _table_for(I, field, table)
     pd = table.pd
     violations = []
     pairs = [
@@ -94,14 +105,14 @@ def search_complement_witnesses(
     The candidates are the table's nonzero entries in degrees a and b,
     which lie in the lcm lattice, so the scan is exhaustive over it.  It
     runs in lattice order, by increasing degree then support of m (then
-    of m2), and stops at the first hit unless all_pairs is set.
+    of m2), and stops at the first hit unless all_pairs is set.  A table
+    over another field or ideal raises SqfBettiError.
     """
     if a + b != i:
         raise OutOfRange(f"need a + b = i, got {a} + {b} != {i}")
     if a < 1 or b < 1:
         raise OutOfRange("witness degrees must be positive")
-    if table is None:
-        table = betti_table(I, field=field)
+    table = _table_for(I, field, table)
 
     def nonzero_in(degree: int) -> list[SqfMonomial]:
         found = [
@@ -185,14 +196,14 @@ def top_degree_check(
 
     Applicability needs beta_{i, top} nonzero (so that t_i = r) and both
     a, b within the projective dimension; otherwise the statement is
-    vacuous and flagged inapplicable.
+    vacuous and flagged inapplicable.  A table over another field or
+    ideal raises SqfBettiError.
     """
     if a + b != i:
         raise OutOfRange(f"need a + b = i, got {a} + {b} != {i}")
     if a < 1 or b < 1:
         raise OutOfRange("split degrees must be positive")
-    if table is None:
-        table = betti_table(I, field=field)
+    table = _table_for(I, field, table)
     top = I.top()
     r = top.degree
     applicable = (

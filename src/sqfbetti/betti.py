@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .core import MonomialIdeal, SqfMonomial, monomial_names
+from json.encoder import encode_basestring_ascii
+
+from .core import MonomialIdeal, SqfMonomial, _indices_of
 from .errors import OutOfRange, ParseError, SizeLimitExceeded
 from .homology import (
     DEFAULT_FACE_CAP,
@@ -195,24 +197,62 @@ def parse_betti_m2(text: str) -> dict[tuple[int, int], int]:
     return graded
 
 
-def format_betti_json(table: BettiTable) -> dict:
-    vars = table.ideal.vars
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of encoded items, its closing bracket at indent."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def format_betti_json(table: BettiTable) -> str:
+    """The table as JSON text (a str, without a trailing newline).
+
+    The text is ``json.dumps(obj, indent=2, sort_keys=True)`` of an
+    object whose keys come in this order: ``field`` (the field's label);
+    ``graded``, one ``{"i", "j", "rank"}`` object per graded entry,
+    sorted by (i, j); ``multigraded``, one ``{"i", "monomial", "rank"}``
+    object per multigraded entry, the monomial as its variable names,
+    sorted by i and then the canonical monomial order; ``pd``; ``t``,
+    mapping str(a) to t_a with the keys sorted as strings (so "10"
+    before "2"); ``totals``; and ``variables``, the variable names in
+    table order.  The text is written from fixed templates: each name is
+    encoded once per table, each multidegree's name array once per mask.
+    """
+    names = [encode_basestring_ascii(v) for v in table.ideal.vars.names]
+    arrays: dict[int, tuple] = {}  # mask -> (canonical sort key, name array)
+    entries = []
+    for (i, m), rank in table.multigraded.items():
+        known = arrays.get(m.mask)
+        if known is None:
+            indices = _indices_of(m.mask)
+            known = arrays[m.mask] = (
+                (len(indices), indices),
+                _array([names[k] for k in indices], "      "),
+            )
+        entries.append((i, known[0], rank, known[1]))
+    entries.sort()
     multi = [
-        {"i": i, "monomial": monomial_names(m, vars), "rank": rank}
-        for (i, m), rank in sorted(
-            table.multigraded.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())
-        )
+        f'{{\n      "i": {i},\n      "monomial": {monomial},\n'
+        f'      "rank": {rank}\n    }}'
+        for i, _, rank, monomial in entries
     ]
     graded = [
-        {"i": i, "j": j, "rank": rank}
+        f'{{\n      "i": {i},\n      "j": {j},\n      "rank": {rank}\n    }}'
         for (i, j), rank in sorted(table.graded.items())
     ]
-    return {
-        "field": table.field.label,
-        "variables": list(vars.names),
-        "pd": table.pd,
-        "t": {str(a): v for a, v in sorted(table.t.items())},
-        "totals": list(table.totals()),
-        "graded": graded,
-        "multigraded": multi,
-    }
+    t = sorted((str(a), v) for a, v in table.t.items())
+    t_text = (
+        "{\n    " + ",\n    ".join(f'"{a}": {v}' for a, v in t) + "\n  }" if t else "{}"
+    )
+    return (
+        "{\n"
+        f'  "field": {encode_basestring_ascii(table.field.label)},\n'
+        f'  "graded": {_array(graded, "  ")},\n'
+        f'  "multigraded": {_array(multi, "  ")},\n'
+        f'  "pd": {table.pd},\n'
+        f'  "t": {t_text},\n'
+        f'  "totals": {_array([str(n) for n in table.totals()], "  ")},\n'
+        f'  "variables": {_array(names, "  ")}\n'
+        "}"
+    )

@@ -148,13 +148,13 @@ def _json_text(obj) -> str:
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
 
     CPython drops to its pure-Python encoder whenever ``indent`` is set,
-    which costs more than the rest of the CLI on a large Betti table.
-    This writer formats strings with the stdlib's C string encoder, ints
-    with ``int.__repr__`` and containers as json does (dicts with sorted
-    keys, lists and tuples as arrays, ``{}``/``[]`` when empty); any other
-    leaf, such as a float, goes to ``json.dumps``.  Dict keys must be
-    strings, as in every CLI result: the string encoder raises TypeError
-    on any other key.
+    which is slow on large results.  This writer formats strings with the
+    stdlib's C string encoder, ints with ``int.__repr__`` and containers
+    as json does (dicts with sorted keys, lists and tuples as arrays,
+    ``{}``/``[]`` when empty); any other leaf, such as a float, goes to
+    ``json.dumps``.  Dict keys must be strings, as in every CLI result:
+    the string encoder raises TypeError on any other key.  The betti
+    table has its own writer, ``betti.format_betti_json``.
     """
 
     def text(o, newline: str) -> str:
@@ -172,11 +172,7 @@ def _json_text(obj) -> str:
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
-            # name lists are most of a table's leaves; skip the call for them
-            items = [
-                encode_basestring_ascii(x) if type(x) is str else text(x, inner)
-                for x in o
-            ]
+            items = [text(x, inner) for x in o]
             return "[" + inner + ("," + inner).join(items) + newline + "]"
         if isinstance(o, dict):
             if not o:
@@ -211,7 +207,7 @@ def _cmd_betti(args, I: MonomialIdeal, field: FieldSpec) -> int:
         face_cap=args.face_cap_value,
     )
     if args.format == "json":
-        _emit(format_betti_json(table))
+        print(format_betti_json(table))
     else:
         print(format_betti_m2(table))
         print(f"field: {field.label}", file=sys.stderr)

@@ -13,7 +13,8 @@ from sqfbetti import (
     verify_subadditivity,
 )
 from sqfbetti.betti import BettiTable
-from sqfbetti.errors import OutOfRange
+from sqfbetti.errors import OutOfRange, SqfBettiError
+from sqfbetti.homology import FieldSpec
 
 from conftest import mk, random_sqf_ideal
 
@@ -205,3 +206,20 @@ def test_witness_order_ignores_table_insertion_order():
             counts[(a, b)] = len(got)
     assert counts[(1, 5)] == 10
     assert counts[(3, 4)] == 180
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda I, table: verify_subadditivity(I, table=table, with_witnesses=True),
+        lambda I, table: search_complement_witnesses(I, 2, 1, 1, table=table),
+        lambda I, table: top_degree_check(I, 2, 1, 1, table=table),
+    ],
+    ids=["verify_subadditivity", "search_complement_witnesses", "top_degree_check"],
+)
+def test_table_of_another_field_or_ideal_is_refused(path3, call):
+    call(path3, betti_table(mk("xy", "yz", "zu")))  # an equal ideal is the same ideal
+    with pytest.raises(SqfBettiError, match="another field or ideal"):
+        call(path3, betti_table(path3, FieldSpec(2)))
+    with pytest.raises(SqfBettiError, match="another field or ideal"):
+        call(path3, betti_table(mk("xy", "yz", "zu", "ux")))

@@ -1,9 +1,12 @@
 import importlib.util
+import json
 import random
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqfbetti import (
     GF_32003,
@@ -12,6 +15,7 @@ from sqfbetti import (
     SqfMonomial,
     betti_table,
     build_lattice,
+    format_betti_json,
     format_betti_m2,
     induced_subideal,
     multigraded_betti,
@@ -22,8 +26,10 @@ from sqfbetti import (
     taylor_faces_below,
     reduced_homology_ranks,
 )
+from sqfbetti.betti import BettiTable
 from sqfbetti.errors import OutOfRange, SizeLimitExceeded
 
+from betti_dict import betti_dict
 from conftest import mk, random_sqf_ideal
 
 TABLE_A_M2 = """\
@@ -259,3 +265,39 @@ def test_rp2_6_totals_depend_on_characteristic(p, totals):
     # over QQ its boundary ranks need pivots that are not +-1
     table = betti_table(parse_ideal_text("\n".join(RP2_6)), FieldSpec(p))
     assert table.totals() == totals
+
+
+def assert_stdlib_json(table):
+    expected = json.dumps(betti_dict(table), indent=2, sort_keys=True)
+    assert format_betti_json(table) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([RATIONALS, FieldSpec(2)]))
+def test_json_writer_matches_stdlib_on_random_ideals(seed, field):
+    I = random_sqf_ideal(random.Random(seed), max_vars=7, max_gens=7)
+    assert_stdlib_json(betti_table(I, field))
+
+
+def test_json_writer_ignores_table_insertion_order(triangle_tail_table):
+    table = triangle_tail_table
+    reverse = BettiTable(
+        table.ideal,
+        table.field,
+        dict(reversed(table.multigraded.items())),
+        dict(reversed(table.graded.items())),
+        table.pd,
+        dict(reversed(table.t.items())),
+    )
+    assert format_betti_json(reverse) == format_betti_json(table)
+    assert_stdlib_json(reverse)
+
+
+def test_json_writer_sorts_t_keys_as_strings():
+    # 11 variables, each a generator: pd 11 and a lattice of 2 048 elements
+    table = betti_table(parse_ideal_text("\n".join("abcdefghijk")))
+    assert table.pd == 11
+    assert len(table.multigraded) == 2048
+    assert_stdlib_json(table)
+    text = format_betti_json(table)
+    assert text.index('"10": 10') < text.index('"11": 11') < text.index('"2": 2')

@@ -610,17 +610,19 @@ def test_repeated_variable_in_monomial_arguments(capsys, argv, name):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["betti"],
-        ["lattice"],
-        ["covers", "--well-ordered", "--all"],
-        ["covers", "--minimal"],
-        ["bouquets", "--find"],
-        ["subadd", "--full", "--with-witnesses"],
-        ["homology", "--multidegree", "x*y*z*a"],
+        ["betti", "--gens", GENS_A],
+        ["lattice", "--gens", GENS_A],
+        ["covers", "--well-ordered", "--all", "--gens", GENS_A],
+        ["covers", "--minimal", "--gens", GENS_A],
+        ["bouquets", "--find", "--gens", GENS_A],
+        ["subadd", "--full", "--with-witnesses", "--gens", GENS_A],
+        ["homology", "--multidegree", "x*y*z*a", "--gens", GENS_A],
+        # pd 11: the keys of t sort as strings, "10" before "2"
+        ["betti", "--gens", "a, b, c, d, e, f, g, h, i, j, k"],
     ],
 )
 def test_json_output_is_the_stdlib_encoding(capsys, argv):
-    code, out, err = run(capsys, *argv, "--gens", GENS_A, "--format", "json")
+    code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 0, err
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
