@@ -261,6 +261,8 @@ def _cmd_covers(args, I: MonomialIdeal, field: FieldSpec) -> int:
         )
     if args.all and args.first:
         raise ParseError("--all and --first are mutually exclusive")
+    if args.size is not None:
+        _positive("--size", args.size)
     needs_sequence = args.split is not None or args.alpha or args.rotate is not None
     if needs_sequence and args.sequence is None:
         raise ParseError("--split/--alpha/--rotate need --sequence")

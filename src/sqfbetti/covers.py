@@ -12,7 +12,13 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .core import MonomialIdeal, SqfMonomial, format_monomial
+from .core import (
+    MonomialIdeal,
+    SqfMonomial,
+    _indices_of,
+    format_monomial,
+    private_bits,
+)
 from .errors import (
     InvalidSplit,
     NotWellOrdered,
@@ -263,10 +269,9 @@ def enumerate_minimal_covers(
         nonlocal states
         states += 1
         if states > budget:
-            partial = [Cover(c) for c in sorted(found, key=sorted)]
             raise SizeLimitExceeded(
                 f"minimal cover enumeration exceeded budget {budget}",
-                partial=partial,
+                partial=_by_size(found),
             )
 
     _minimal_covers(I, spent, found)
@@ -325,13 +330,27 @@ def find_well_ordered_covers(
     sequence from the last position backward; a placement at position
     j <= s-1 can discharge non-members, and states are memoized on the
     (remaining members, undischarged non-members) pair, which captures
-    everything the future depends on.  With first_only each state stops
-    at its first completion, so the memo holds at most one per state and
-    the result is the first sequence of the full search.  One budget
-    counts the whole call: each state of the minimal cover enumeration,
-    each state of the ordering search, and each sequence completed.
-    Exceeding it raises SizeLimitExceeded with the well ordered covers
-    found so far attached.
+    everything the future depends on.  Both are bitmasks over generator
+    indices, so the memo key is two ints; j is the number of members
+    remaining, and they are tried lowest index first, the ascending order
+    of the sorted cover.  With first_only each state stops at its first
+    completion, so the memo holds at most one per state and the result
+    is the first sequence of the full search.  One budget counts the
+    whole call: each state of the minimal cover enumeration, each state
+    of the ordering search, and each sequence completed.  Exceeding it
+    raises SizeLimitExceeded with the well ordered covers found so far
+    attached.
+
+    A branch that leaves a non-member n undischarged, with no member left
+    to place that could ever discharge it, is cut before its child state
+    is entered.  m_j | lcm(n, m_{j+1}, ..., m_s) needs n to hold every
+    variable of m_j that the later members lack, and they lack its
+    private variables: so only the members whose private variables n all
+    holds, can[n], ever discharge n, and m_s discharges nothing.  A cut
+    branch has no completion, so the sequences, their order and their
+    witnesses are those of the uncut search; it spends no budget, and
+    only the count of states falls.  A cover with a non-member of empty
+    can[n] spends one state, its root.
 
     Each memo entry pairs a head (the members at positions 1..j) with the
     (n, position) witnesses discharged inside it.  Positions are filled
@@ -390,11 +409,17 @@ def find_well_ordered_covers(
             assert ok, "emitted sequence fails its witness check"
             return WellOrderedCover(I, seq, witnesses)
 
-        memo: dict[tuple[frozenset[int], frozenset[int]], tuple] = {}
+        # can[n]: the members whose private variables n all holds, the only
+        # members that can discharge n
+        can = [0] * len(masks)
+        for g, private in zip(members, private_bits([masks[g] for g in members])):
+            for n in non_members:
+                if not private & ~masks[n]:
+                    can[n] |= 1 << g
 
-        def complete(
-            remaining: frozenset[int], unsat: frozenset[int], placed_mask: int
-        ) -> tuple:
+        memo: dict[tuple[int, int], tuple] = {}
+
+        def complete(remaining: int, unsat: int, placed: int) -> tuple:
             if not remaining:
                 return (((), ()),) if not unsat else ()
             key = (remaining, unsat)
@@ -402,29 +427,44 @@ def find_well_ordered_covers(
             if hit is not None:
                 return hit
             spent()
-            j = len(remaining)
+            j = remaining.bit_count()
             out = []
-            for g in sorted(remaining):
-                gmask = masks[g]
-                if j <= s - 1:
-                    # n stays undischarged unless m_j | lcm(n, placed members)
-                    new_unsat = frozenset(
-                        n for n in unsat if gmask & ~(masks[n] | placed_mask)
-                    )
+            rest = remaining
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                g = bit.bit_length() - 1
+                left = remaining ^ bit
+                # m_j | lcm(n, placed members) iff n holds the bits of m_j
+                # that no placed member does; m_s discharges nothing, and no
+                # n holds every bit of -1
+                fresh = masks[g] & ~placed if j < s else -1
+                new_unsat = u = unsat
+                while u:
+                    nbit = u & -u
+                    u ^= nbit
+                    n = nbit.bit_length() - 1
+                    if not fresh & ~masks[n]:
+                        new_unsat ^= nbit
+                    elif not can[n] & left:
+                        break  # no member left to place can discharge n
                 else:
-                    new_unsat = unsat
-                heads = complete(remaining - {g}, new_unsat, placed_mask | gmask)
-                if heads:
-                    discharged = tuple((n, j) for n in unsat - new_unsat)
-                    for head, carried in heads:
-                        out.append((head + (g,), carried + discharged))
-                    spent(len(heads))
-                    if first_only:
-                        break
+                    heads = complete(left, new_unsat, placed | masks[g])
+                    if heads:
+                        discharged = tuple(
+                            (n, j) for n in _indices_of(unsat ^ new_unsat)
+                        )
+                        for head, carried in heads:
+                            out.append((head + (g,), carried + discharged))
+                        spent(len(heads))
+                        if first_only:
+                            break
             memo[key] = tuple(out)
             return memo[key]
 
-        emitted = complete(frozenset(members), frozenset(non_members), 0)
+        emitted = complete(
+            sum(1 << g for g in members), sum(1 << n for n in non_members), 0
+        )
         memo.clear()  # complete refers to itself, so only the cycle collector frees it
         for seq, carried in emitted:
             results.append(checked(seq, carried))

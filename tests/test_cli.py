@@ -554,6 +554,15 @@ def test_nonpositive_budget_rejected(capsys):
     assert "--face-cap must be positive" in err
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_nonpositive_cover_size_rejected(capsys, size):
+    argv = ["covers", "--well-ordered", f"--size={size}", "--gens", GENS_PATH]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "--size must be positive" in err
+
+
 @pytest.mark.parametrize("gens", ["x^2 y", "x+y", "x y, y z2, 3"])
 def test_bad_variable_name_in_gens(capsys, gens):
     code, out, err = run(capsys, "betti", "--gens", gens)

@@ -78,6 +78,22 @@ def test_minimal_covers_on_randoms_are_minimal():
                 assert not is_minimal_cover(I, smaller) or not smaller
 
 
+def test_enumeration_partial_keeps_the_result_order(star_cluster, three_brooms):
+    # the covers found when the budget runs out come in the order of the
+    # full result: by size, then by sorted members
+    ideals = [parse_ideal_text("x0 x1\nx2 x3\nx0 x2\nx0 x3"), star_cluster, three_brooms]
+    for I in ideals:
+        full = enumerate_minimal_covers(I)
+        for budget in itertools.count(1):
+            try:
+                enumerate_minimal_covers(I, budget=budget)
+            except SizeLimitExceeded as e:
+                kept = set(e.partial)
+                assert e.partial == [c for c in full if c in kept], budget
+            else:
+                break
+
+
 class CountingSet(set):
     """A set that counts every add, repeats included."""
 
@@ -262,6 +278,11 @@ def test_search_matches_brute_force_orderings():
         found = find_well_ordered_covers(I)
         assert len(found) == len(accepted)
         assert {w.sequence: w.witnesses for w in found} == accepted
+        # covers by (size, sorted members); within one, the DFS fills the
+        # last position first and tries the lowest index first
+        assert [w.sequence for w in found] == sorted(
+            accepted, key=lambda seq: (len(seq), sorted(seq), seq[::-1])
+        )
         first = find_well_ordered_covers(I, first_only=True)
         assert [(w.sequence, w.witnesses) for w in first] == [
             (w.sequence, w.witnesses) for w in found[:1]
@@ -487,10 +508,10 @@ def test_splits_match_the_induced_subideal_definition():
 # budget also counts the 52, 85, 27 and 17 states of the minimal cover
 # enumeration
 CERTIFY_SEARCHES = {
-    "star_cluster": (36_960, 123_015, 1_746),
-    "cycle12": (15_120, 50_890, 4_985),
-    "three_brooms": (6_720, 19_779, 104),
-    "triangle_tail": (64, 292, 32),
+    "star_cluster": (36_960, 121_283, 77),
+    "cycle12": (15_120, 45_048, 127),
+    "three_brooms": (6_720, 19_576, 42),
+    "triangle_tail": (64, 266, 26),
 }
 
 
@@ -529,6 +550,16 @@ def test_search_budget_is_pinned(request, name, first_only):
     assert str(e.value).startswith("well ordered cover search exceeded")
     assert isinstance(e.value.partial, list)
     assert all(isinstance(w, WellOrderedCover) for w in e.value.partial)
+
+
+def test_search_cuts_a_cover_no_ordering_completes(path3):
+    # y z holds no private variable of x y or of z u, so no member can
+    # discharge it: every child of the root is cut, and the search spends
+    # the 4 enumeration states and the root
+    for first_only in (False, True):
+        assert find_well_ordered_covers(path3, first_only=first_only, budget=5) == []
+        with pytest.raises(SizeLimitExceeded):
+            find_well_ordered_covers(path3, first_only=first_only, budget=4)
 
 
 def test_search_budget_covers_the_enumeration(three_brooms):
