@@ -187,9 +187,12 @@ def is_minimal_cover(I: MonomialIdeal, cover) -> bool:
     """Covers every variable, and every member keeps a private variable.
 
     A cover is inclusion-minimal exactly when each member contains some
-    variable no other member reaches.
+    variable no other member reaches.  An index that names no generator
+    makes no cover.
     """
     members = sorted(cover.members if isinstance(cover, Cover) else set(cover))
+    if any(not 0 <= i < len(I.gens) for i in members):
+        return False
     ok, _, failing = _ordered_cover([g.mask for g in I.gens], members, I.vars.full_mask)
     return ok or failing is not None  # only a minimal cover reaches the witnesses
 
@@ -337,9 +340,9 @@ def find_well_ordered_covers(
     completion, so the memo holds at most one per state and the result
     is the first sequence of the full search.  One budget counts the
     whole call: each state of the minimal cover enumeration, each state
-    of the ordering search, and each sequence completed.  Exceeding it
-    raises SizeLimitExceeded with the well ordered covers found so far
-    attached.
+    of the ordering search, and each head that a state extends by one
+    member.  Exceeding it raises SizeLimitExceeded with the well ordered
+    covers found so far attached.
 
     A branch that leaves a non-member n undischarged, with no member left
     to place that could ever discharge it, is cut before its child state
@@ -356,10 +359,14 @@ def find_well_ordered_covers(
     (n, position) witnesses discharged inside it.  Positions are filled
     downward, so a non-member leaves the undischarged set at its maximal
     witness: the union along a sequence's path is its witnesses, the
-    alpha values.  Every emitted sequence is checked: it permutes the
-    cover (decided minimal once, at its first sequence), carries one
-    witness per non-member, and m_j | lcm(n, m_{j+1}, ..., m_s) holds for
-    each; maximality of j rests on the downward fill and is not rechecked.
+    alpha values.  So a sequence is checked through its edges, each once,
+    when its memo entry is built: an edge takes one member out of the
+    remaining set, so a completed path permutes the cover, and each
+    non-member leaves the undischarged set on one edge, so the path
+    carries one witness per non-member.  For each n an edge discharges,
+    0 < j < s and m_j | lcm(n, m_{j+1}, ..., m_s) are tested on the raw
+    masks, and a cover that emits a sequence is decided minimal once;
+    maximality of j rests on the downward fill and is not rechecked.
     """
     masks = [g.mask for g in I.gens]
     results: list[WellOrderedCover] = []
@@ -382,32 +389,6 @@ def find_well_ordered_covers(
             continue
         s = len(members)
         non_members = [n for n in range(len(I.gens)) if n not in cover.members]
-        minimal = None  # decided when the cover emits its first sequence
-
-        def checked(
-            seq: tuple[int, ...], carried: tuple[tuple[int, int], ...]
-        ) -> WellOrderedCover:
-            nonlocal minimal
-            if minimal is None:
-                minimal = is_minimal_cover(I, members)
-            witnesses = tuple(sorted(carried))
-            ok = (
-                minimal
-                and sorted(seq) == members
-                and len(witnesses) == len(non_members)
-            )
-            after = [0] * s  # after[j]: mask of lcm(m_{j+1}, ..., m_s)
-            once = 0
-            for k in range(s - 1, 0, -1):
-                once |= masks[seq[k]]
-                after[k] = once
-            for (n, j), expected in zip(witnesses, non_members):
-                if n != expected or not 0 < j < s:
-                    ok = False
-                elif masks[seq[j - 1]] & ~(masks[n] | after[j]):
-                    ok = False  # m_j does not divide lcm(n, m_{j+1}, ..., m_s)
-            assert ok, "emitted sequence fails its witness check"
-            return WellOrderedCover(I, seq, witnesses)
 
         # can[n]: the members whose private variables n all holds, the only
         # members that can discharge n
@@ -454,6 +435,10 @@ def find_well_ordered_covers(
                         discharged = tuple(
                             (n, j) for n in _indices_of(unsat ^ new_unsat)
                         )
+                        assert all(
+                            0 < j < s and not masks[g] & ~(masks[n] | placed)
+                            for n, _ in discharged
+                        ), "edge fails its witness check"
                         for head, carried in heads:
                             out.append((head + (g,), carried + discharged))
                         spent(len(heads))
@@ -466,8 +451,9 @@ def find_well_ordered_covers(
             sum(1 << g for g in members), sum(1 << n for n in non_members), 0
         )
         memo.clear()  # complete refers to itself, so only the cycle collector frees it
+        assert not emitted or is_minimal_cover(I, cover), "emitting cover not minimal"
         for seq, carried in emitted:
-            results.append(checked(seq, carried))
+            results.append(WellOrderedCover(I, seq, tuple(sorted(carried))))
             if first_only:
                 return results
 

@@ -51,6 +51,14 @@ def test_minimal_cover_decision(path3):
     assert not is_minimal_cover(path3, [xy, yz])
 
 
+def test_minimal_cover_refuses_indices_of_no_generator():
+    # -1 must not read as the last generator, nor 99 raise IndexError
+    I = parse_ideal_text("x0 x1\nx1 x2\nx2 x3")
+    assert is_minimal_cover(I, [0, 2])
+    for cover in ([99], [-1, 0], Cover([-1, 0]), [0, 2, 3]):
+        assert not is_minimal_cover(I, cover)
+
+
 def test_enumerate_minimal_covers_path3(path3):
     covers = enumerate_minimal_covers(path3)
     assert covers == [Cover(frozenset({0, 2}))]
@@ -539,9 +547,10 @@ def test_search_witnesses_match_the_decision_at_full_size(request, name):
 @pytest.mark.parametrize("first_only", [False, True])
 @pytest.mark.parametrize("name", CERTIFY_SEARCHES)
 def test_search_budget_is_pinned(request, name, first_only):
-    # one budget counts enumeration states, search states and completed
-    # sequences; these are exact, and the partial results are always
-    # well ordered covers, whichever part of the search ran out
+    # one budget counts enumeration states, search states and the heads
+    # they extend; these are exact, and the partial results are always
+    # a prefix of the full search, witnesses included, whichever part of
+    # the search ran out
     I = request.getfixturevalue(name)
     budget = CERTIFY_SEARCHES[name][2 if first_only else 1]
     assert find_well_ordered_covers(I, first_only=first_only, budget=budget)
@@ -550,6 +559,13 @@ def test_search_budget_is_pinned(request, name, first_only):
     assert str(e.value).startswith("well ordered cover search exceeded")
     assert isinstance(e.value.partial, list)
     assert all(isinstance(w, WellOrderedCover) for w in e.value.partial)
+    partial = [(w.sequence, w.witnesses) for w in e.value.partial]
+    full = find_well_ordered_covers(I)
+    assert partial == [(w.sequence, w.witnesses) for w in full[: len(partial)]]
+    masks = [g.mask for g in I.gens]
+    for seq, witnesses in partial:
+        ok, expect, _ = _ordered_cover(masks, seq, I.vars.full_mask)
+        assert ok and witnesses == tuple(expect), seq
 
 
 def test_search_cuts_a_cover_no_ordering_completes(path3):
