@@ -36,8 +36,8 @@ print()
 print("== one entry, by hand ==")
 lat = build_lattice(I)
 m = lat.top()
-faces = taylor_faces_below(I, m)
-ranks = reduced_homology_ranks(faces)
+layers = taylor_faces_below(I, m)  # layers[k]: the k-generator faces
+ranks = reduced_homology_ranks(layers)
 print(f"for m = {format_monomial(m, I.vars)} the strict-divisor subcomplex "
       f"has face counts {dict(sorted(ranks.face_counts.items()))}")
 print(f"homology ranks: { {d: v for d, v in ranks.homology_ranks.items() if v} }")

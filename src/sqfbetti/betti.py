@@ -174,27 +174,35 @@ def parse_betti_m2(text: str) -> dict[tuple[int, int], int]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ParseError("not an m2 betti table")
-    cols = [int(tok) for tok in lines[0].split()]
+    cols = [_int(tok) for tok in lines[0].split()]
     totals_line = lines[1].split()
     if totals_line[0] != "total:":
         raise ParseError("missing total: row")
-    totals = [int(tok) for tok in totals_line[1:]]
+    totals = [_int(tok) for tok in totals_line[1:]]
+    if len(totals) != len(cols):
+        raise ParseError("totals row width mismatch")
     graded: dict[tuple[int, int], int] = {}
     for ln in lines[2:]:
         label, *cells = ln.split()
         if not label.endswith(":"):
             raise ParseError(f"bad row label {label!r}")
-        k = int(label[:-1])
+        k = _int(label[:-1])
         if len(cells) != len(cols):
             raise ParseError("row width mismatch")
         for i, tok in zip(cols, cells):
             if tok != ".":
-                graded[(i, k + i)] = int(tok)
-    for i in cols:
-        got = sum(rank for (a, _), rank in graded.items() if a == i)
-        if got != totals[i - cols[0]]:
+                graded[(i, k + i)] = _int(tok)
+    for i, total in zip(cols, totals):
+        if sum(rank for (a, _), rank in graded.items() if a == i) != total:
             raise ParseError(f"totals row disagrees at column {i}")
     return graded
+
+
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"not an integer: {tok!r}") from None
 
 
 def _array(items: list[str], indent: str) -> str:

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
-from .betti import BettiTable, betti_table, t_max
+from .analysis import _table_for
+from .betti import BettiTable, t_max
 from .core import (
     MonomialIdeal,
     SimplicialComplex,
@@ -30,7 +31,6 @@ from .errors import (
     InvalidPartition,
     SameFacet,
     SizeLimitExceeded,
-    SqfBettiError,
 )
 from .homology import RATIONALS, FieldSpec
 from .lattice import complementary
@@ -616,10 +616,7 @@ def bouquet_subadditivity(
     complement_ok = complementary(I, m_left, m_right)
     assert complement_ok, "partition monomials failed lattice complementation"
 
-    if table is None:
-        table = betti_table(I, field=field)
-    elif (table.field, table.ideal) != (field, I):
-        raise SqfBettiError("table was built over another field or ideal")
+    table = _table_for(I, field, table)
     beta_left = table.multigraded.get((b_left, m_left), 0)
     beta_right = table.multigraded.get((b_right, m_right), 0)
     assert beta_left >= 1 and beta_right >= 1, "partition Betti numbers vanished"

@@ -101,7 +101,7 @@ def _load_ideal(args) -> MonomialIdeal:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ParseError(f"cannot read {args.input}: {e}") from None
     return parse_ideal(text, wide=args.wide)
 
@@ -594,8 +594,8 @@ def _cmd_subadd(args, I: MonomialIdeal, field: FieldSpec) -> int:
 
 def _cmd_homology(args, I: MonomialIdeal, field: FieldSpec) -> int:
     m = _parse_monomial(I, args.multidegree)
-    faces = taylor_faces_below(I, m, cap=args.face_cap_value)
-    ranks = reduced_homology_ranks(faces, field)
+    layers = taylor_faces_below(I, m, cap=args.face_cap_value)
+    ranks = reduced_homology_ranks(layers, field)
 
     def bydim(d: dict[int, int]) -> dict[str, int]:
         return {str(k): v for k, v in sorted(d.items())}
@@ -605,7 +605,7 @@ def _cmd_homology(args, I: MonomialIdeal, field: FieldSpec) -> int:
             {
                 "multidegree": _names(I, m),
                 "field": field.label,
-                "void": faces.is_void,
+                "void": not layers,
                 "face_counts": bydim(ranks.face_counts),
                 "boundary_ranks": bydim(ranks.boundary_ranks),
                 "homology_ranks": bydim(ranks.homology_ranks),
@@ -614,7 +614,7 @@ def _cmd_homology(args, I: MonomialIdeal, field: FieldSpec) -> int:
     else:
         print(f"multidegree: {format_monomial(m, I.vars)}")
         print(f"field: {field.label}")
-        if faces.is_void:
+        if not layers:
             print("void complex (no faces)")
             return 0
 

@@ -76,7 +76,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .core import MonomialIdeal, SqfMonomial
-from .errors import ParseError, SizeLimitExceeded, SqfBettiError
+from .errors import ParseError, SizeLimitExceeded
 
 DEFAULT_FACE_CAP = 2**20
 
@@ -101,6 +101,8 @@ class FieldSpec:
 
     def __init__(self, p: int | None = None):
         if p is not None:
+            if not isinstance(p, int):
+                raise ParseError(f"prime must be an int, got {p!r}")
             if not 2 <= p < 2**31:
                 raise ParseError(f"prime must be in [2, 2^31), got {p}")
             if not _is_prime(p):
@@ -151,53 +153,11 @@ RATIONALS = FieldSpec.rationals()
 GF_32003 = FieldSpec.prime(32003)
 
 
-class FaceSet:
-    """Faces of a subcomplex of the Taylor complex, as generator masks.
-
-    A face is a subset of generator indices, stored as a bit mask.  The
-    empty iterable builds the distinguished Void complex (no faces at
-    all), which is not the same thing as the complex {empty face}.
-    """
-
-    __slots__ = ("faces",)
-
-    def __init__(self, faces: Iterable[int]):
-        self.faces = frozenset(faces)
-
-    @classmethod
-    def void(cls) -> "FaceSet":
-        return cls(())
-
-    @property
-    def is_void(self) -> bool:
-        return not self.faces
-
-    def __len__(self) -> int:
-        return len(self.faces)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FaceSet) and self.faces == other.faces
-
-    def __hash__(self) -> int:
-        return hash(self.faces)
-
-    def __repr__(self) -> str:
-        if self.is_void:
-            return "FaceSet.void()"
-        return f"FaceSet({len(self.faces)} faces, dim {self.dimension()})"
-
-    def dimension(self) -> int:
-        """Max face dimension; -1 for {empty face}; Void raises SqfBettiError."""
-        if self.is_void:
-            raise SqfBettiError("the Void complex has no dimension")
-        return max(f.bit_count() for f in self.faces) - 1
-
-
 class ChainComplexRanks:
     """Face counts, boundary ranks, and reduced homology per dimension.
 
-    h_i = c_i - r_i - r_{i+1}, with c_{-1} = 1 whenever the face set is
-    nonempty; the Void complex has a zero chain complex throughout.
+    h_i = c_i - r_i - r_{i+1}, with c_{-1} = 1 whenever the complex is
+    not Void; the Void complex has a zero chain complex throughout.
     """
 
     __slots__ = ("face_counts", "boundary_ranks", "homology_ranks", "field")
@@ -230,17 +190,19 @@ class ChainComplexRanks:
 
 def taylor_faces_below(
     I: MonomialIdeal, m: SqfMonomial, cap: int = DEFAULT_FACE_CAP
-) -> FaceSet:
-    """Subsets of generators whose lcm strictly divides m.
+) -> list[list[int]]:
+    """Subsets of generators whose lcm strictly divides m, in layers.
 
-    Only generators dividing m can appear (anything else already fails
-    divisibility), and any subset whose lcm reaches m exactly is pruned
-    along with all of its supersets.  m = 1 gives Void.
+    layers[k] lists the k-generator faces as generator masks, as
+    _grow_faces grows them.  Only generators dividing m can appear
+    (anything else already fails divisibility), and any subset whose lcm
+    reaches m exactly is pruned along with all of its supersets.  m = 1
+    gives [], the Void complex: not even the empty face.
     """
     if m.is_one:
-        return FaceSet.void()
+        return []
     rows = [(i, m.mask & ~g.mask) for i, g in enumerate(I.gens) if g.divides(m)]
-    return FaceSet(f for layer in _grow_faces(rows, cap) for f in layer)
+    return _grow_faces(rows, cap)
 
 
 def _grow_faces(rows: Sequence[tuple[int, int]], cap: int) -> list[list[int]]:
@@ -440,7 +402,8 @@ def _finish(rows: Sequence[int], p: int | None, cap: int) -> dict[int, int]:
         taylor += (1 << sum(1 for r in rows if r & x)) - 1
     if 1 << used.bit_count() < taylor:
         return _dual_homology(rows, used, p, cap)
-    return _layer_homology(_grow_faces(list(enumerate(rows)), cap), p)
+    homology = _layer_ranks(_grow_faces(list(enumerate(rows)), cap), p)[2]
+    return {d: h for d, h in homology.items() if h}
 
 
 def _dual_homology(
@@ -453,19 +416,8 @@ def _dual_homology(
     module docstring).  It holds for any rows, collapsed or not.
     """
     n = used.bit_count()
-    layers = _grow_dual(rows, used, cap)
-    return {n - 3 - e: h for e, h in _layer_homology(layers, p).items()}
-
-
-def _layer_homology(layers: Sequence[list[int]], p: int | None) -> dict[int, int]:
-    """Nonzero reduced homology {d: h_d} of faces grown in layers."""
-    ranks = _boundary_ranks(layers, p)
-    out = {}
-    for k, layer in enumerate(layers):
-        h = len(layer) - ranks.get(k - 1, 0) - ranks.get(k, 0)
-        if h:
-            out[k - 1] = h
-    return out
+    homology = _layer_ranks(_grow_dual(rows, used, cap), p)[2]
+    return {n - 3 - e: h for e, h in homology.items() if h}
 
 
 def _boundary_columns(
@@ -487,46 +439,32 @@ def _boundary_columns(
     return columns
 
 
-def faces_by_dimension(faces: FaceSet) -> dict[int, list[int]]:
-    """Faces grouped by dimension, each group sorted by mask.
-
-    Ranks do not depend on the order; the mask order fixes row and
-    column indices, the same for the d-faces in both maps they meet.
-    """
-    groups: dict[int, list[int]] = {}
-    for f in faces.faces:
-        groups.setdefault(f.bit_count() - 1, []).append(f)
-    for g in groups.values():
-        g.sort()
-    return groups
-
-
 def reduced_homology_ranks(
-    faces: FaceSet, field: FieldSpec = RATIONALS
+    layers: Sequence[list[int]], field: FieldSpec = RATIONALS
 ) -> ChainComplexRanks:
-    """Exact reduced homology ranks of a downward-closed face set.
+    """Exact reduced homology ranks of a downward-closed complex in layers.
 
-    Boundary maps are reduced for d = top, ..., 0.  Clearing: a reduced
-    column of the (d+1)-th map whose largest row is the d-face s is a
-    cycle c*s + (earlier d-faces), c != 0, so the boundary of s depends
-    on earlier columns of the d-th map, and s gets no column; r_d, the
-    number of pivots, is unchanged over any field.  It needs the rows of
-    the (d+1)-th map in the column order of the d-th: both in mask order.
+    layers[k] lists the k-vertex faces as vertex masks, as
+    taylor_faces_below returns them: [] is the Void complex, whose chain
+    complex is zero, and [[0]] the complex of the empty face alone.
     """
-    if faces.is_void:
-        return ChainComplexRanks({}, {}, {}, field)
-    groups = faces_by_dimension(faces)
-    face_counts = {d: len(g) for d, g in groups.items()}
-    top = max(groups)
-    boundary_ranks = _boundary_ranks([groups[d] for d in range(-1, top + 1)], field.p)
-    homology = {}
-    for d in range(-1, top + 1):
-        homology[d] = (
-            face_counts.get(d, 0)
-            - boundary_ranks.get(d, 0)
-            - boundary_ranks.get(d + 1, 0)
-        )
-    return ChainComplexRanks(face_counts, boundary_ranks, homology, field)
+    return ChainComplexRanks(*_layer_ranks(layers, field.p), field)
+
+
+def _layer_ranks(
+    layers: Sequence[list[int]], p: int | None
+) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """Face counts c_d, boundary ranks r_d and reduced homology h_d of layers.
+
+    The d-faces are layers[d + 1], and h_d = c_d - r_d - r_(d+1) for
+    every d from -1 to the top dimension, zeros included.
+    """
+    ranks = _boundary_ranks(layers, p)
+    counts, homology = {}, {}
+    for k, layer in enumerate(layers):
+        c = counts[k - 1] = len(layer)
+        homology[k - 1] = c - ranks.get(k - 1, 0) - ranks.get(k, 0)
+    return counts, ranks, homology
 
 
 def _boundary_ranks(layers: Sequence[list[int]], p: int | None) -> dict[int, int]:
@@ -534,7 +472,11 @@ def _boundary_ranks(layers: Sequence[list[int]], p: int | None) -> dict[int, int
 
     layers[k] lists the k-vertex faces, those of dimension k - 1.  The
     index of a face in its layer is its column in one map and its row
-    in the next; clearing needs no other condition on the order.
+    in the next.  Clearing: a reduced column of the (d+1)-th map whose
+    largest row is the d-face s is a cycle c*s + (earlier d-faces),
+    c != 0, so the boundary of s depends on earlier columns of the d-th
+    map, and s gets no column; r_d, the number of pivots, is unchanged
+    over any field, and the order needs no other condition.
     """
     ranks: dict[int, int] = {}
     cleared: dict[int, dict[int, int]] = {}

@@ -30,7 +30,6 @@ from sqfbetti import (
     split_certificate,
     taylor_faces_below,
 )
-from sqfbetti.homology import faces_by_dimension
 
 from conftest import mk, random_sqf_ideal
 from dense import boundary_matrix
@@ -176,18 +175,15 @@ def test_criterion_6_bouquets(star_cluster, three_brooms):
     report(6, "both families found; orderings pass; t_8<=t_2+t_6, t_7<12, t_7<13")
 
 
-def _check_boundary_and_euler(faces) -> None:
-    """d o d = 0 and the Euler characteristic identity for one face set."""
-    ranks = reduced_homology_ranks(faces)
-    if faces.is_void:
+def _check_boundary_and_euler(layers) -> None:
+    """d o d = 0 and the Euler characteristic identity for one complex."""
+    ranks = reduced_homology_ranks(layers)
+    if not layers:
         assert ranks.face_counts == {}
         return
-    groups = faces_by_dimension(faces)
-    top = max(groups)
-    for d in range(1, top + 1):
-        lower = groups.get(d - 2, [])
-        A = boundary_matrix(lower, groups[d - 1])
-        B = boundary_matrix(groups[d - 1], groups[d])
+    for d in range(1, len(layers) - 1):
+        A = boundary_matrix(layers[d - 1], layers[d])
+        B = boundary_matrix(layers[d], layers[d + 1])
         if A.size and B.size:
             assert not (A @ B).any()
     chi_c = sum((-1) ** d * c for d, c in ranks.face_counts.items())

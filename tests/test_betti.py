@@ -27,7 +27,7 @@ from sqfbetti import (
     reduced_homology_ranks,
 )
 from sqfbetti.betti import BettiTable
-from sqfbetti.errors import OutOfRange, SizeLimitExceeded
+from sqfbetti.errors import OutOfRange, ParseError, SizeLimitExceeded
 
 from betti_dict import betti_dict
 from conftest import mk, random_sqf_ideal
@@ -71,6 +71,17 @@ def test_golden_table_b(three_brooms_table):
     assert format_betti_m2(table) == TABLE_B_M2
     assert table.graded[(7, 10)] == 1
     assert t_max(table, 7) == 10
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x\ny", "0 1\ntotal: 1 1\na: 1 1", "0 1\ntotal: x 1", "0 1\ntotal: 0", "0 1\ntotal:"],
+)
+def test_m2_parse_errors_are_parse_errors(text):
+    # a non-integer header, row label or total, and a totals row shorter
+    # than the header
+    with pytest.raises(ParseError):
+        parse_betti_m2(text)
 
 
 def test_m2_reparse_roundtrip(triangle_tail_table, three_brooms_table):

@@ -490,6 +490,19 @@ def test_homology_of_one_is_void(capsys):
     assert data["face_counts"] == {}
 
 
+HOMOLOGY_GOLDEN = Path(__file__).resolve().parent / "homology_golden.json"
+
+
+def test_homology_goldens_reproduce(capsys):
+    # the homology subcommand on each benchmark ideal of at most 12
+    # generators, at its top and at the proper lattice element with the
+    # most Taylor faces, over q, p:2 and p:3, in text and JSON form
+    cases = json.loads(HOMOLOGY_GOLDEN.read_text())
+    assert len(cases) == 108
+    for case in cases:
+        assert run(capsys, *case["argv"]) == (0, case["stdout"], ""), case["argv"]
+
+
 def test_exit_codes(capsys, monkeypatch):
     # empty input: domain error
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
@@ -578,6 +591,24 @@ def test_bad_variable_name_in_input_file(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "'y,' on line 2" in err
+
+
+def test_non_utf8_input_file_is_a_parse_error(tmp_path):
+    # a fresh interpreter, so that a traceback would reach stderr
+    f = tmp_path / "ideal.txt"
+    f.write_bytes(b"x y\n\xff\xfe z\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqfbetti", "betti", "-i", str(f)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: cannot read {f}: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_bad_variable_name_in_json_input_file(capsys, tmp_path):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sqfbetti import (
     GF_32003,
     RATIONALS,
-    FaceSet,
     FieldSpec,
     SqfMonomial,
     VariableTable,
@@ -22,9 +21,9 @@ from sqfbetti import (
     reduced_homology_ranks,
     taylor_faces_below,
 )
-from sqfbetti.errors import ParseError, SizeLimitExceeded, SqfBettiError
+from sqfbetti.errors import ParseError, SizeLimitExceeded
 from sqfbetti import homology
-from sqfbetti.homology import faces_by_dimension, homology_below
+from sqfbetti.homology import homology_below
 
 from conftest import mk, random_sqf_ideal
 from dense import boundary_matrix
@@ -32,7 +31,7 @@ from test_betti import RP2_6, cycle
 
 
 def closure(masks):
-    """Downward closure of a set of faces, as a FaceSet."""
+    """Downward closure of a set of faces, as layers sorted by mask."""
     out = set()
     for m in masks:
         sub = m
@@ -41,18 +40,27 @@ def closure(masks):
             if sub == 0:
                 break
             sub = (sub - 1) & m
-    return FaceSet(out)
+    layers = [[] for _ in range(max(map(int.bit_count, out)) + 1)]
+    for f in sorted(out):
+        layers[f.bit_count()].append(f)
+    return layers
 
 
-def is_downward_closed(faces):
-    """Every face minus any one vertex is again a face."""
-    for f in faces.faces:
-        rest = f
-        while rest:
-            low = rest & -rest
-            if f ^ low not in faces.faces:
-                return False
-            rest ^= low
+def faces_of(layers):
+    """Every face of every layer, as one set of masks."""
+    return {f for layer in layers for f in layer}
+
+
+def is_downward_closed(layers):
+    """Every face minus any one vertex is again a face, one layer down."""
+    for k, layer in enumerate(layers):
+        for f in layer:
+            rest = f
+            while rest:
+                low = rest & -rest
+                if f ^ low not in layers[k - 1]:
+                    return False
+                rest ^= low
     return True
 
 
@@ -65,26 +73,22 @@ def test_field_spec_parsing():
     for bad in ("r", "p:", "p:15", "p:abc", "32003"):
         with pytest.raises(ParseError):
             FieldSpec.parse(bad)
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ParseError):
+            FieldSpec(bad)
 
 
 def test_void_versus_empty_face():
-    void = FaceSet.void()
-    assert void.is_void
+    void = []  # no faces at all, not even the empty one
     ranks = reduced_homology_ranks(void)
     assert ranks.face_counts == {}
     assert ranks.h(-1) == 0 and ranks.h(0) == 0
 
-    point = FaceSet([0])  # just the empty face
+    point = [[0]]  # just the empty face
     ranks = reduced_homology_ranks(point)
     assert ranks.face_counts == {-1: 1}
     assert ranks.h(-1) == 1
-    assert point.dimension() == -1
-
-
-def test_void_has_no_dimension():
-    with pytest.raises(SqfBettiError, match="Void"):
-        FaceSet.void().dimension()
-    assert repr(FaceSet.void()) == "FaceSet.void()"
+    assert len(point) - 2 == -1  # its dimension
 
 
 def test_contractible_simplex():
@@ -124,11 +128,11 @@ def test_sphere_octahedron():
 
 def test_taylor_faces_below_excludes_covers(path3):
     m = path3.top()  # xyzu
-    faces = taylor_faces_below(path3, m)
+    faces = faces_of(taylor_faces_below(path3, m))
     # {xy, zu} has lcm xyzu = m, so it is not below m
-    assert (0b001 | 0b100) not in faces.faces
-    assert 0 in faces.faces
-    for f in faces.faces:
+    assert (0b001 | 0b100) not in faces
+    assert 0 in faces
+    for f in faces:
         lcm = 0
         for i in range(len(path3.gens)):
             if f >> i & 1:
@@ -140,9 +144,9 @@ def test_taylor_faces_below_excludes_covers(path3):
 def test_taylor_faces_below_ignores_non_dividing_gens(triangle_tail):
     vars = triangle_tail.vars
     m = SqfMonomial.from_names(vars, ["x", "y", "z"])
-    faces = taylor_faces_below(triangle_tail, m)
+    faces = faces_of(taylor_faces_below(triangle_tail, m))
     dividing = {i for i, g in enumerate(triangle_tail.gens) if g.divides(m)}
-    for f in faces.faces:
+    for f in faces:
         used = {i for i in range(len(triangle_tail.gens)) if f >> i & 1}
         assert used <= dividing
 
@@ -150,7 +154,7 @@ def test_taylor_faces_below_ignores_non_dividing_gens(triangle_tail):
 def test_taylor_faces_below_one_is_void(path3):
     # even the empty face has lcm 1, which is not strictly below m = 1
     faces = taylor_faces_below(path3, SqfMonomial.one())
-    assert faces.is_void
+    assert faces == []
 
 
 def test_face_cap(three_brooms):
@@ -163,14 +167,10 @@ def test_boundary_squared_is_zero_on_randoms():
     for _ in range(30):
         I = random_sqf_ideal(rng, max_vars=6, max_gens=5)
         lat_top = I.top()
-        faces = taylor_faces_below(I, lat_top)
-        if faces.is_void:
-            continue
-        groups = faces_by_dimension(faces)
-        top = max(groups)
-        for d in range(1, top + 1):
-            A = boundary_matrix(groups[d - 2] if d - 2 in groups else [], groups[d - 1])
-            B = boundary_matrix(groups[d - 1], groups[d])
+        layers = taylor_faces_below(I, lat_top)
+        for d in range(1, len(layers) - 1):
+            A = boundary_matrix(layers[d - 1], layers[d])
+            B = boundary_matrix(layers[d], layers[d + 1])
             if A.size and B.size:
                 assert not (A @ B).any()
 
@@ -191,7 +191,7 @@ def test_euler_characteristic_identity():
 def test_downward_closed(path3):
     faces = taylor_faces_below(path3, path3.top())
     assert is_downward_closed(faces)
-    assert not is_downward_closed(FaceSet([0, 0b11]))
+    assert not is_downward_closed([[0], [], [0b11]])
 
 
 def test_matrix_rank_small_cases():
@@ -305,14 +305,11 @@ def test_matrix_rank_matches_fraction_oracle(rows):
 def test_boundary_ranks_match_fraction_oracle(seed):
     rng = random.Random(seed)
     I = random_sqf_ideal(rng, max_vars=6, max_gens=6)
-    faces = taylor_faces_below(I, I.top())
-    if faces.is_void:
-        return
-    groups = faces_by_dimension(faces)
+    layers = taylor_faces_below(I, I.top())
     for field, p in ORACLE_FIELDS[:3]:
-        ranks = reduced_homology_ranks(faces, field)
-        for d in range(max(groups) + 1):
-            dense = boundary_matrix(groups[d - 1], groups[d])
+        ranks = reduced_homology_ranks(layers, field)
+        for d in range(len(layers) - 1):
+            dense = boundary_matrix(layers[d], layers[d + 1])
             assert ranks.r(d) == rank_oracle(dense.tolist(), p)
 
 
@@ -340,20 +337,19 @@ def facet_closures(draw):
 @given(facet_closures())
 @example(closure(RP2_6_FACETS))
 @example(closure([0b1111111]))  # the full 6-simplex: acyclic, most columns cleared
-def test_cleared_ranks_match_dense_oracle(faces):
-    groups = faces_by_dimension(faces)
+def test_cleared_ranks_match_dense_oracle(layers):
     for field, p in ORACLE_FIELDS[:3]:
-        ranks = reduced_homology_ranks(faces, field)
-        for d in range(max(groups) + 1):
-            dense = boundary_matrix(groups[d - 1], groups[d])
+        ranks = reduced_homology_ranks(layers, field)
+        for d in range(len(layers) - 1):
+            dense = boundary_matrix(layers[d], layers[d + 1])
             assert ranks.r(d) == rank_oracle(dense.tolist(), p)
 
 
 @pytest.mark.parametrize("field, h", [(RATIONALS, 0), (FieldSpec(2), 1), (FieldSpec(3), 0)])
 def test_rp2_6_homology_depends_on_characteristic(field, h):
-    faces = closure(RP2_6_FACETS)
-    assert faces.dimension() == 2 and len(faces) == 1 + 6 + 15 + 10
-    ranks = reduced_homology_ranks(faces, field)
+    layers = closure(RP2_6_FACETS)
+    assert len(layers) - 2 == 2 and sum(map(len, layers)) == 1 + 6 + 15 + 10
+    ranks = reduced_homology_ranks(layers, field)
     assert [ranks.h(d) for d in range(-1, 3)] == [0, 0, h, h]
 
 
