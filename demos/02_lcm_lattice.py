@@ -47,6 +47,6 @@ for m in lat2.elements:
 m1 = lat2.elements[1]
 m2 = enumerate_complements(J, m1, lattice=lat2)
 if m2:
-    ok = is_lattice_complement(J, m1, m2[0], lattice=lat2)
+    ok = is_lattice_complement(J, m1, m2[0])
     print(f"checked: {format_monomial(m1, J.vars)} and "
           f"{format_monomial(m2[0], J.vars)} are complements: {ok}")

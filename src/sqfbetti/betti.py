@@ -13,7 +13,7 @@ from .homology import (
     _homology_below,
     homology_below,
 )
-from .lattice import DEFAULT_LATTICE_CAP, build_lattice
+from .lattice import DEFAULT_LATTICE_CAP, build_lattice, in_lattice
 
 
 class BettiTable:
@@ -77,11 +77,7 @@ def multigraded_betti(
         raise OutOfRange(f"homological degree {i} is negative")
     if i == 0:
         return 1 if m.is_one else 0
-    dividing = 0
-    for g in I.gens:
-        if g.divides(m):
-            dividing |= g.mask
-    if dividing != m.mask:
+    if not in_lattice(I, m):
         return 0
     return homology_below(I, m, field, face_cap).get(i - 2, 0)
 

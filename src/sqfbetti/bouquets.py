@@ -26,12 +26,8 @@ from .core import (
     private_bits,
 )
 from .covers import DEFAULT_SEARCH_BUDGET
-from .errors import (
-    InvalidBouquetSet,
-    InvalidPartition,
-    SameFacet,
-    SizeLimitExceeded,
-)
+from . import errors
+from .errors import InvalidBouquetSet, InvalidPartition, SameFacet
 from .homology import RATIONALS, FieldSpec
 from .lattice import complementary
 
@@ -452,17 +448,7 @@ def contains_strongly_disjoint_set(
         bset = accept(family)
         return [bset] if bset is not None else []
 
-    states = 0
-
-    def spend() -> None:
-        nonlocal states
-        states += 1
-        if states > budget:
-            raise SizeLimitExceeded(
-                f"bouquet family search exceeded budget {budget}",
-                partial=list(results),
-            )
-
+    spend = errors.budget(budget, "bouquet family search", lambda: list(results))
     candidates = _candidate_bouquets(delta, spend)
 
     def emit(family: tuple[tuple[int, ...], ...]) -> bool:

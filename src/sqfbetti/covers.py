@@ -19,12 +19,8 @@ from .core import (
     format_monomial,
     private_bits,
 )
-from .errors import (
-    InvalidSplit,
-    NotWellOrdered,
-    RotationOutOfRange,
-    SizeLimitExceeded,
-)
+from . import errors
+from .errors import InvalidSplit, NotWellOrdered, RotationOutOfRange
 from .lattice import complementary
 
 DEFAULT_SEARCH_BUDGET = 10**6
@@ -265,29 +261,23 @@ def enumerate_minimal_covers(
     budget counts the states searched; exceeding it raises
     SizeLimitExceeded with the covers found so far attached.
     """
-    found: set[frozenset[int]] = set()
-    states = 0
+    found: list[int] = []
 
-    def spent() -> None:
-        nonlocal states
-        states += 1
-        if states > budget:
-            raise SizeLimitExceeded(
-                f"minimal cover enumeration exceeded budget {budget}",
-                partial=_by_size(found),
-            )
+    def covers() -> list[Cover]:
+        return [Cover(_indices_of(c)) for c in _by_size(found)]
 
-    _minimal_covers(I, spent, found)
-    return _by_size(found)
+    spend = errors.budget(budget, "minimal cover enumeration", covers)
+    _minimal_covers(I, spend, found)
+    return covers()
 
 
 def _minimal_covers(
-    I: MonomialIdeal, spent: Callable[[], None], found: set[frozenset[int]]
+    I: MonomialIdeal, spend: Callable[[], None], found: list[int]
 ) -> None:
-    """Add each minimal cover to found as it is reached.
+    """Append each minimal cover to found, as a mask of generator indices.
 
-    spent() is called once per state, before the state is searched, so
-    a spent() that raises can read the covers found so far.  A generator
+    spend() is called once per state, before the state is searched, so
+    a spend() that raises can read the covers found so far.  A generator
     tried for the lowest uncovered variable is barred from the states
     below its later siblings, so each cover is reached once, along the
     path that takes its lowest member holding that variable each time.
@@ -295,10 +285,10 @@ def _minimal_covers(
     masks = [g.mask for g in I.gens]
     full = I.vars.full_mask
 
-    def dfs(chosen: list[int], covered: int, private: list[int], barred: int) -> None:
-        spent()
+    def dfs(chosen: int, covered: int, private: list[int], barred: int) -> None:
+        spend()
         if covered == full:
-            found.add(frozenset(chosen))
+            found.append(chosen)
             return
         v = (~covered & full) & -(~covered & full)  # lowest uncovered bit
         for g, gmask in enumerate(masks):
@@ -308,17 +298,16 @@ def _minimal_covers(
             new_private = [p & ~gmask for p in private]
             if any(not p for p in new_private):
                 continue
-            chosen.append(g)
-            dfs(chosen, covered | gmask, new_private + [gmask & ~covered], barred)
-            chosen.pop()
+            new_private.append(gmask & ~covered)
+            dfs(chosen | 1 << g, covered | gmask, new_private, barred)
             barred |= 1 << g
 
-    dfs([], 0, [], 0)
+    dfs(0, 0, [], 0)
 
 
-def _by_size(found: Iterable[frozenset[int]]) -> list[Cover]:
-    """The covers ordered by size, then by their sorted members."""
-    return [Cover(c) for c in sorted(found, key=lambda c: (len(c), sorted(c)))]
+def _by_size(found: Iterable[int]) -> list[int]:
+    """Cover masks ordered by size, then by their sorted members."""
+    return sorted(found, key=lambda c: SqfMonomial(c).sort_key())
 
 
 def find_well_ordered_covers(
@@ -369,26 +358,17 @@ def find_well_ordered_covers(
     maximality of j rests on the downward fill and is not rechecked.
     """
     masks = [g.mask for g in I.gens]
+    everyone = (1 << len(masks)) - 1
     results: list[WellOrderedCover] = []
-    states = 0
-
-    def spent(count: int = 1) -> None:
-        nonlocal states
-        states += count
-        if states > budget:
-            raise SizeLimitExceeded(
-                f"well ordered cover search exceeded budget {budget}",
-                partial=list(results),
-            )
-
-    found: set[frozenset[int]] = set()
-    _minimal_covers(I, spent, found)
+    spend = errors.budget(budget, "well ordered cover search", lambda: list(results))
+    found: list[int] = []
+    _minimal_covers(I, spend, found)
     for cover in _by_size(found):
-        members = sorted(cover.members)
-        if size is not None and len(members) != size:
+        s = cover.bit_count()
+        if size is not None and s != size:
             continue
-        s = len(members)
-        non_members = [n for n in range(len(I.gens)) if n not in cover.members]
+        members = _indices_of(cover)
+        non_members = _indices_of(everyone ^ cover)
 
         # can[n]: the members whose private variables n all holds, the only
         # members that can discharge n
@@ -407,7 +387,7 @@ def find_well_ordered_covers(
             hit = memo.get(key)
             if hit is not None:
                 return hit
-            spent()
+            spend()
             j = remaining.bit_count()
             out = []
             rest = remaining
@@ -441,17 +421,15 @@ def find_well_ordered_covers(
                         ), "edge fails its witness check"
                         for head, carried in heads:
                             out.append((head + (g,), carried + discharged))
-                        spent(len(heads))
+                        spend(len(heads))
                         if first_only:
                             break
             memo[key] = tuple(out)
             return memo[key]
 
-        emitted = complete(
-            sum(1 << g for g in members), sum(1 << n for n in non_members), 0
-        )
+        emitted = complete(cover, everyone ^ cover, 0)
         memo.clear()  # complete refers to itself, so only the cycle collector frees it
-        assert not emitted or is_minimal_cover(I, cover), "emitting cover not minimal"
+        assert not emitted or is_minimal_cover(I, members), "emitting cover not minimal"
         for seq, carried in emitted:
             results.append(WellOrderedCover(I, seq, tuple(sorted(carried))))
             if first_only:

@@ -8,6 +8,8 @@ partial results were available when the cap was hit.
 
 from __future__ import annotations
 
+from typing import Callable
+
 
 class SqfBettiError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -84,3 +86,21 @@ class SizeLimitExceeded(SqfBettiError):
     def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+def budget(limit: int, what: str, partial: Callable[[], list]) -> Callable[..., None]:
+    """A spend(count=1) that raises SizeLimitExceeded past limit states.
+
+    The message reads "<what> exceeded budget <limit>"; partial() is
+    called when the budget runs out, for the results complete so far.
+    """
+    spent = 0
+
+    def spend(count: int = 1) -> None:
+        nonlocal spent
+        spent += count
+        if spent > limit:
+            message = f"{what} exceeded budget {limit}"
+            raise SizeLimitExceeded(message, partial=partial())
+
+    return spend

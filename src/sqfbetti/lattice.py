@@ -15,10 +15,10 @@ class LcmLattice:
 
     ``elements`` is sorted by (degree, index tuple) with bottom 1 first
     and the top lcm last.  ``witness`` maps each element's mask to one
-    generator subset realizing it, kept for diagnostics.
+    generator subset realizing it, and so answers membership.
     """
 
-    __slots__ = ("ideal", "elements", "witness", "_masks")
+    __slots__ = ("ideal", "elements", "witness")
 
     def __init__(
         self,
@@ -29,7 +29,6 @@ class LcmLattice:
         self.ideal = ideal
         self.elements = tuple(elements)
         self.witness = witness
-        self._masks = {m.mask for m in elements}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -38,7 +37,7 @@ class LcmLattice:
         return iter(self.elements)
 
     def __contains__(self, m: SqfMonomial) -> bool:
-        return m.mask in self._masks
+        return m.mask in self.witness
 
     def bottom(self) -> SqfMonomial:
         return self.elements[0]
@@ -83,6 +82,19 @@ def build_lattice(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLattic
     return LcmLattice(I, elements, witness)
 
 
+def in_lattice(I: MonomialIdeal, m: SqfMonomial) -> bool:
+    """m is in LCM(I): the generators that divide m cover it.
+
+    Their lcm divides m and is the largest element below it, so m is an
+    lcm of generators exactly when that lcm is m itself.
+    """
+    covered = 0
+    for g in I.gens:
+        if not g.mask & ~m.mask:
+            covered |= g.mask
+    return covered == m.mask
+
+
 def complementary(I: MonomialIdeal, m: SqfMonomial, m2: SqfMonomial) -> bool:
     """lcm(m, m2) = x_1...x_n and gcd(m, m2) not in I.
 
@@ -92,21 +104,15 @@ def complementary(I: MonomialIdeal, m: SqfMonomial, m2: SqfMonomial) -> bool:
     return m.mask | m2.mask == I.vars.full_mask and not I.contains(m.gcd(m2))
 
 
-def is_lattice_complement(
-    I: MonomialIdeal,
-    m: SqfMonomial,
-    m2: SqfMonomial,
-    lattice: LcmLattice | None = None,
-) -> bool:
+def is_lattice_complement(I: MonomialIdeal, m: SqfMonomial, m2: SqfMonomial) -> bool:
     """lcm(m, m2) = x_1...x_n and gcd(m, m2) not in I.
 
-    Both monomials must be lattice elements.  Membership of the gcd in I
-    is divisibility against the generators, per the definition.
+    Both monomials must be lattice elements, which is decided without
+    building the lattice.  Membership of the gcd in I is divisibility
+    against the generators, per the definition.
     """
-    if lattice is None:
-        lattice = build_lattice(I)
     for x in (m, m2):
-        if x not in lattice:
+        if not in_lattice(I, x):
             raise NotInLattice(f"{x!r} is not in LCM(I)")
     return complementary(I, m, m2)
 
@@ -117,10 +123,10 @@ def enumerate_complements(
     lattice: LcmLattice | None = None,
 ) -> list[SqfMonomial]:
     """All lattice complements of m, in (degree, index tuple) order."""
+    if not in_lattice(I, m):
+        raise NotInLattice(f"{m!r} is not in LCM(I)")
     if lattice is None:
         lattice = build_lattice(I)
-    if m not in lattice:
-        raise NotInLattice(f"{m!r} is not in LCM(I)")
     return [m2 for m2 in lattice.elements if complementary(I, m, m2)]
 
 

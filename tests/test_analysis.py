@@ -48,11 +48,10 @@ def test_report_with_witnesses(triangle_tail, triangle_tail_table):
         if a + b <= pd
     }
     assert set(report.witnesses) == expect
-    lat = build_lattice(triangle_tail)
     n = len(triangle_tail.vars)
     for (i, a, b), pairs in report.witnesses.items():
         for m, m2 in pairs:
-            assert is_lattice_complement(triangle_tail, m, m2, lat)
+            assert is_lattice_complement(triangle_tail, m, m2)
             assert multigraded_betti(triangle_tail, a, m) >= 1
             assert multigraded_betti(triangle_tail, b, m2) >= 1
             # witnessed pairs force the degree bound from the report
@@ -79,9 +78,8 @@ def test_witness_search_all_pairs_sorted(triangle_tail, triangle_tail_table):
     assert len(pairs) >= 1
     keys = [(m.sort_key(), m2.sort_key()) for m, m2 in pairs]
     assert keys == sorted(keys)
-    lat = build_lattice(triangle_tail)
     for m, m2 in pairs:
-        assert is_lattice_complement(triangle_tail, m, m2, lat)
+        assert is_lattice_complement(triangle_tail, m, m2)
 
 
 def test_witness_search_argument_checks(triangle_tail, triangle_tail_table):
@@ -123,9 +121,8 @@ def test_top_degree_applicable_with_witnesses(triangle_tail, triangle_tail_table
     assert chk.applicable
     assert chk.holds
     assert chk.witnesses
-    lat = build_lattice(triangle_tail)
     for m, m2 in chk.witnesses:
-        assert is_lattice_complement(triangle_tail, m, m2, lat)
+        assert is_lattice_complement(triangle_tail, m, m2)
 
 
 def test_top_degree_argument_checks(triangle_tail, triangle_tail_table):
@@ -167,7 +164,7 @@ def test_witness_search_matches_full_scan():
                     for m2 in lat.elements
                     if beta.get((a, m), 0)
                     and beta.get((b, m2), 0)
-                    and is_lattice_complement(I, m, m2, lat)
+                    and is_lattice_complement(I, m, m2)
                 ]
                 got = search_complement_witnesses(
                     I, a + b, a, b, all_pairs=True, table=table

@@ -75,11 +75,24 @@ def test_golden_table_b(three_brooms_table):
 
 @pytest.mark.parametrize(
     "text",
-    ["x\ny", "0 1\ntotal: 1 1\na: 1 1", "0 1\ntotal: x 1", "0 1\ntotal: 0", "0 1\ntotal:"],
+    [
+        "x\ny",
+        "0 1\ntotal: 1 1\na: 1 1",
+        "0 1\ntotal: x 1",
+        "0 1\ntotal: 0",
+        "0 1\ntotal:",
+        "0 1",
+        "0 1\ntotals 1 1",
+        "0 1\ntotal: 1 0\n0 1 .",
+        "0 1\ntotal: 1 0\n0: 1",
+        "0 1\ntotal: 1 2\n0: 1 1",
+    ],
 )
 def test_m2_parse_errors_are_parse_errors(text):
     # a non-integer header, row label or total, and a totals row shorter
-    # than the header
+    # than the header; one line only, no total: row, a row label without
+    # its colon, a row shorter than the header, and a totals row that
+    # disagrees with its column
     with pytest.raises(ParseError):
         parse_betti_m2(text)
 

@@ -535,6 +535,86 @@ def test_exit_codes(capsys, monkeypatch):
     assert "no input ideal" in err
 
 
+SEQ_STAR = "g*y,g*x,e*g,f*g,b*c*d,g*h,g*i,a*b*c"
+GENS_TRIANGLES = "a*b*z, b*c*z, x*y*z, a*x*z"
+BOUQUETS_B = "a*x,a*y;b*z,b*v,b*w;c*u,c*g"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (
+            ["covers", "--well-ordered", "--gens", GENS_TRIANGLES],
+            0,
+            "z*x*y a*b*z b*z*c\na*b*z z*x*y b*z*c\na*b*z b*z*c z*x*y\n"
+            "a*z*x z*x*y b*z*c\nb*z*c a*z*x z*x*y\na*z*x b*z*c z*x*y\n",
+            "",
+        ),
+        (
+            ["covers", "--alpha", "--sequence", SEQ_STAR, "--gens", GENS_STAR],
+            0,
+            "alpha f*i: 4\nalpha h*i: 6\nalpha c*d*f: 5\nalpha d*f*e: 5\nell: 4\n",
+            "",
+        ),
+        (
+            ["covers", "--rotate", "4", "--sequence", SEQ_STAR, "--gens", GENS_STAR],
+            0,
+            "f*g b*c*d g*h g*i a*b*c g*y g*x e*g\n",
+            "",
+        ),
+        (
+            ["covers", "--rotate", "2", "--sequence", "x*y,z*u", "--gens", GENS_PATH],
+            1,
+            "",
+            "error: no witness position for non-member y*z",
+        ),
+        (
+            ["covers", "--sequence", "x*y*z,a*b*z,b*c*z", "--gens", GENS_TRIANGLES],
+            0,
+            "well ordered: yes\nwitness a*z*x: j=2\n",
+            "",
+        ),
+        (
+            ["covers", "--well-ordered", "--all", "--first", "--gens", GENS_PATH],
+            1,
+            "",
+            "error: --all and --first are mutually exclusive",
+        ),
+        (
+            ["bouquets", "--check", BOUQUETS_B, "--gens", GENS_B],
+            0,
+            "bouquet set: [a*x a*y] [b*z b*v b*w] [c*u c*g] reps: a*x b*v c*u\n"
+            "spans: yes\noutside condition: yes\n",
+            "",
+        ),
+        (
+            ["bouquets", "--check", BOUQUETS_B, "--subadd", "x", "--gens", GENS_B],
+            1,
+            "",
+            "error: --subadd takes comma separated bouquet positions",
+        ),
+        (
+            ["homology", "--multidegree", "1", "--gens", GENS_PATH],
+            0,
+            "multidegree: 1\nfield: QQ\nvoid complex (no faces)\n",
+            "",
+        ),
+        (
+            ["covers", "--bogus", "--gens", GENS_PATH],
+            1,
+            "",
+            "error: unrecognized arguments: --bogus",
+        ),
+    ],
+)
+def test_text_modes_and_usage_errors(capsys, argv, code, out, err):
+    # text outputs and refusals that the JSON tests above do not reach;
+    # an unknown option goes through _Parser.error, so it exits 1, not 2
+    got_code, got_out, got_err = run(capsys, *argv)
+    assert (got_code, got_out) == (code, out)
+    assert err in got_err
+
+
 def test_face_cap_exit_reports_partial(capsys):
     code, out, err = run(capsys, "betti", "--face-cap", "5", "--gens", GENS_STAR)
     assert code == 2

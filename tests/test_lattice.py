@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,8 +9,10 @@ from sqfbetti import (
     enumerate_complements,
     hasse_pairs,
     is_lattice_complement,
+    parse_ideal_text,
 )
 from sqfbetti.errors import NotInLattice, SizeLimitExceeded
+from sqfbetti.lattice import in_lattice
 
 from conftest import mk, random_sqf_ideal
 
@@ -73,6 +76,16 @@ def test_lattice_closed_under_joins(four_triangles):
             assert a.lcm(b) in lat
 
 
+def test_membership_test_agrees_with_the_built_lattice():
+    rng = random.Random(11)
+    for _ in range(25):
+        I = random_sqf_ideal(rng)
+        lat = build_lattice(I)
+        for mask in range(I.vars.full_mask + 1):
+            m = SqfMonomial(mask)
+            assert in_lattice(I, m) == (m in lat), (I, mask)
+
+
 def test_cap_raises_with_partial(three_brooms):
     with pytest.raises(SizeLimitExceeded) as e:
         build_lattice(three_brooms, cap=10)
@@ -88,28 +101,43 @@ def test_complement_requires_lattice_membership(path3):
         is_lattice_complement(path3, xz, top)
 
 
+def test_complement_does_not_build_the_lattice():
+    # the edge ideal of a random graph on 24 vertices and 36 edges has
+    # more lcm lattice elements than the default cap of 2^20 (a build cut
+    # at 2^12 shows the scale); membership of two generators and of a
+    # variable is decided from the generators alone
+    pairs = list(itertools.combinations(range(24), 2))
+    edges = random.Random(0).sample(pairs, 36)
+    I = parse_ideal_text("\n".join(f"x{u} x{v}" for u, v in edges))
+    with pytest.raises(SizeLimitExceeded):
+        build_lattice(I, cap=2**12)
+    m, m2 = I.gens[0], I.gens[1]
+    assert is_lattice_complement(I, m, m2) is False  # lcm(m, m2) misses variables
+    x = SqfMonomial.from_indices([0])
+    with pytest.raises(NotInLattice):
+        is_lattice_complement(I, m, x)
+
+
 def test_complement_example(triangle_tail):
     vars = triangle_tail.vars
-    lat = build_lattice(triangle_tail)
     xyz = SqfMonomial.from_names(vars, ["x", "y", "z"])
     abc = SqfMonomial.from_names(vars, ["a", "b", "c"])
     # union is everything and gcd(xyz, abc) = 1, not in the ideal
-    assert is_lattice_complement(triangle_tail, xyz, abc, lat)
+    assert is_lattice_complement(triangle_tail, xyz, abc)
     # abxy and bcxz: union is everything, gcd = bx not in I
     abxy = SqfMonomial.from_names(vars, ["a", "b", "x", "y"])
     bcxz = SqfMonomial.from_names(vars, ["b", "c", "x", "z"])
-    assert is_lattice_complement(triangle_tail, abxy, bcxz, lat)
+    assert is_lattice_complement(triangle_tail, abxy, bcxz)
     # xyz vs xyzab: union misses c
     xyzab = SqfMonomial.from_names(vars, ["x", "y", "z", "a", "b"])
-    assert not is_lattice_complement(triangle_tail, xyz, xyzab, lat)
+    assert not is_lattice_complement(triangle_tail, xyz, xyzab)
 
 
 def test_gcd_in_ideal_is_not_complement(path3):
-    lat = build_lattice(path3)
     xyz = SqfMonomial.from_names(path3.vars, ["x", "y", "z"])
     yzu = SqfMonomial.from_names(path3.vars, ["y", "z", "u"])
     # union covers everything but gcd = yz lies in the ideal
-    assert not is_lattice_complement(path3, xyz, yzu, lat)
+    assert not is_lattice_complement(path3, xyz, yzu)
 
 
 def test_enumerate_complements_ordering(triangle_tail):
@@ -121,7 +149,7 @@ def test_enumerate_complements_ordering(triangle_tail):
     keys = [c.sort_key() for c in comps]
     assert keys == sorted(keys)
     for c in comps:
-        assert is_lattice_complement(triangle_tail, xyz, c, lat)
+        assert is_lattice_complement(triangle_tail, xyz, c)
 
 
 def test_complement_symmetry_on_randoms():
@@ -133,8 +161,8 @@ def test_complement_symmetry_on_randoms():
         for _ in range(10):
             m = rng.choice(els)
             m2 = rng.choice(els)
-            a = is_lattice_complement(I, m, m2, lat)
-            b = is_lattice_complement(I, m2, m, lat)
+            a = is_lattice_complement(I, m, m2)
+            b = is_lattice_complement(I, m2, m)
             assert a == b
 
 
