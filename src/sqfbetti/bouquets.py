@@ -585,8 +585,6 @@ def bouquet_subadditivity(
     right_set = set(range(d)) - left_set
 
     I = facet_ideal(bset.complex)
-    gen_of = {g.mask: i for i, g in enumerate(I.gens)}
-    assert all(f.mask in gen_of for f in bset.complex.facets)
 
     def part(indices: set[int]) -> tuple[int, SqfMonomial]:
         count = 0

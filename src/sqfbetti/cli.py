@@ -22,7 +22,7 @@ from .analysis import (
     top_degree_check,
     verify_subadditivity,
 )
-from .betti import betti_table, format_betti_json, format_betti_m2
+from .betti import BettiTable, betti_table, format_betti_json, format_betti_m2
 from .bouquets import (
     EXHAUSTIVE_THRESHOLD,
     BouquetSet,
@@ -199,13 +199,15 @@ def _names(I: MonomialIdeal, m: SqfMonomial) -> list[str]:
 # subcommands
 
 
-def _cmd_betti(args, I: MonomialIdeal, field: FieldSpec) -> int:
-    table = betti_table(
-        I,
-        field=field,
-        lattice_cap=args.lattice_cap_value,
-        face_cap=args.face_cap_value,
+def _table(args, I: MonomialIdeal, field: FieldSpec) -> BettiTable:
+    """The Betti table under the --lattice-cap and --face-cap budgets."""
+    return betti_table(
+        I, field=field, lattice_cap=args.lattice_cap_value, face_cap=args.face_cap_value
     )
+
+
+def _cmd_betti(args, I: MonomialIdeal, field: FieldSpec) -> int:
+    table = _table(args, I, field)
     if args.format == "json":
         print(format_betti_json(table))
     else:
@@ -486,7 +488,9 @@ def _cmd_bouquets(args, I: MonomialIdeal, field: FieldSpec) -> int:
             left = [int(tok) for tok in args.subadd.split(",") if tok.strip()]
         except ValueError:
             raise ParseError("--subadd takes comma separated bouquet positions") from None
-        cert = bouquet_subadditivity(bset, left, field=field)
+        cert = bouquet_subadditivity(
+            bset, left, field=field, table=_table(args, I, field)
+        )
         _emit(
             {
                 "mode": "subadd",
@@ -526,12 +530,7 @@ def _cmd_subadd(args, I: MonomialIdeal, field: FieldSpec) -> int:
     modes = [args.full, args.witnesses is not None, args.top_degree is not None]
     if sum(modes) != 1:
         raise ParseError("choose one of --full, --witnesses, --top-degree")
-    table = betti_table(
-        I,
-        field=field,
-        lattice_cap=args.lattice_cap_value,
-        face_cap=args.face_cap_value,
-    )
+    table = _table(args, I, field)
 
     if args.full:
         report = verify_subadditivity(

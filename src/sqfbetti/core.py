@@ -248,38 +248,27 @@ EMPTY_IDEAL = _EmptyIdeal()
 
 
 class SimplicialComplex:
-    """Facet list over a variable table; facets are an antichain."""
+    """Facet list over a variable table, kept as its facet ideal.
 
-    __slots__ = ("vars", "facets")
+    The facets are validated as :func:`normalize_generators` validates
+    generators, and a list it would change (a repeated or nested facet,
+    a facet outside the table) is refused.  ``facets`` is in the ideal's
+    canonical order, so facet i is generator i of ``ideal``.
+    """
+
+    __slots__ = ("vars", "facets", "ideal")
 
     def __init__(self, vars: VariableTable, facets: Sequence[SqfMonomial]):
-        facets = tuple(facets)
-        for i, f in enumerate(facets):
-            for j, g in enumerate(facets):
-                if i != j and f.divides(g):
-                    raise ParseError(
-                        f"facet {format_monomial(f, vars)} is contained in "
-                        f"{format_monomial(g, vars)}"
-                    )
-        covered = 0
-        for f in facets:
-            covered |= f.mask
-        if covered != vars.full_mask:
-            for i in range(len(vars)):
-                if not covered >> i & 1:
-                    raise UncoveredVariable(vars.names[i])
+        ideal = _normalize(facets, vars, refuse_drops=True)
         self.vars = vars
-        self.facets = facets
+        self.facets = ideal.gens
+        self.ideal = ideal
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.vars == other.vars
-            and self.facets == other.facets
-        )
+        return isinstance(other, SimplicialComplex) and self.ideal == other.ideal
 
     def __hash__(self) -> int:
-        return hash((self.vars, self.facets))
+        return hash(self.ideal)
 
     def __len__(self) -> int:
         return len(self.facets)
@@ -310,30 +299,42 @@ def normalize_generators(
     divisibility-minimal ones), sorts canonically, and rejects inputs
     that leave some variable of the table uncovered.
     """
-    if not raw:
+    return _normalize(raw, vars, refuse_drops=False)
+
+
+def _normalize(
+    raw: Sequence[SqfMonomial], vars: VariableTable, refuse_drops: bool
+) -> MonomialIdeal:
+    """normalize_generators; with refuse_drops, a repeated or nested
+    generator raises ParseError naming a facet that it contains."""
+    # a proper divisor has a lower degree and sorts first, as does the
+    # first copy of a repeat
+    ordered = sorted(raw, key=SqfMonomial.sort_key)
+    if not ordered:
         raise EmptyInput("no generators given")
     full = vars.full_mask
-    masks = set()
-    for g in raw:
-        if g.mask & ~full:
-            raise ParseError("generator support outside the variable table")
-        masks.add(g.mask)
-    if 0 in masks:
-        # the unit ideal is out of scope: 1 divides everything
-        raise ParseError("the monomial 1 is not allowed as a generator")
-    minimal = [
-        m
-        for m in masks
-        if not any(o != m and o | m == m for o in masks)
-    ]
+    if any(g.mask & ~full for g in ordered):
+        raise ParseError("generator support outside the variable table")
+    gens = []
     covered = 0
-    for m in minimal:
-        covered |= m
+    for g in ordered:
+        m = g.mask
+        if not m:
+            # the unit ideal is out of scope: 1 divides everything
+            raise ParseError("the monomial 1 is not allowed as a generator")
+        if all(f.mask & ~m for f in gens):
+            gens.append(g)
+            covered |= m
+        elif refuse_drops:
+            f = next(f for f in gens if f.divides(g))
+            raise ParseError(
+                f"facet {format_monomial(f, vars)} is contained in "
+                f"{format_monomial(g, vars)}"
+            )
     if covered != full:
         for i in range(len(vars)):
             if not covered >> i & 1:
                 raise UncoveredVariable(vars.names[i])
-    gens = sorted((SqfMonomial(m) for m in minimal), key=SqfMonomial.sort_key)
     return MonomialIdeal(vars, gens)
 
 
@@ -344,7 +345,7 @@ def facet_complex(I: MonomialIdeal) -> SimplicialComplex:
 
 def facet_ideal(delta: SimplicialComplex) -> MonomialIdeal:
     """The facet ideal of a complex; inverse of :func:`facet_complex`."""
-    return normalize_generators(delta.facets, delta.vars)
+    return delta.ideal
 
 
 def induced_subideal(I: MonomialIdeal, m: SqfMonomial):

@@ -131,24 +131,20 @@ def enumerate_complements(
 
 
 def hasse_pairs(lattice: LcmLattice) -> list[tuple[int, int]]:
-    """Cover relations as (lower, upper) element indices.
+    """Cover relations as (lower, upper) element indices, by upper first.
 
-    Quadratic-with-a-filter; provided for inspection only, nothing in the
-    certification pipeline needs it.
+    y covers x exactly when y is a minimal element of {x | g : g a
+    generator not dividing x}: every element above x holds such a join,
+    and each join is an element above x.  Provided for inspection only,
+    nothing in the certification pipeline needs it.
     """
-    els = lattice.elements
-    n = len(els)
-    below: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and els[i].divides(els[j]):
-                below[j].append(i)
+    position = {m.mask: k for k, m in enumerate(lattice.elements)}
+    gens = [g.mask for g in lattice.ideal.gens]
     pairs = []
-    for j in range(n):
-        for i in below[j]:
-            # i is covered by j unless something sits strictly between
-            if not any(
-                k != i and els[i].divides(els[k]) for k in below[j] if k != j
-            ):
-                pairs.append((i, j))
+    for lo, x in enumerate(lattice.elements):
+        joins = {x.mask | g for g in gens if g & ~x.mask}
+        for y in joins:
+            if not any(z != y and z | y == y for z in joins):
+                pairs.append((lo, position[y]))
+    pairs.sort(key=lambda pair: (pair[1], pair[0]))
     return pairs

@@ -7,6 +7,7 @@ import pytest
 from sqfbetti import (
     RATIONALS,
     FieldSpec,
+    SimplicialComplex,
     SqfMonomial,
     betti_table,
     bouquet_orderings,
@@ -15,6 +16,7 @@ from sqfbetti import (
     contains_strongly_disjoint_set,
     facet_complex,
     facet_distance,
+    facet_ideal,
     is_bouquet,
     is_strongly_disjoint,
     is_well_ordered_cover,
@@ -431,6 +433,26 @@ def test_found_families_yield_covers_on_randoms():
             seq = bouquet_orderings(bset)
             assert is_well_ordered_cover(I, seq)
     assert seen >= 1
+
+
+def test_orderings_of_shuffled_facets_are_covers_of_the_facet_ideal(three_brooms):
+    # a complex keeps the facet ideal's order, so the facet indices of
+    # every block ordering are generator indices of facet_ideal(delta)
+    rng = random.Random(61)
+    cases = [(three_brooms, three_brooms.gens[::-1])]
+    for _ in range(150):
+        I = random_sqf_ideal(rng, max_vars=7, max_gens=7)
+        cases.append((I, rng.sample(I.gens, len(I.gens))))
+    seen = 0
+    for I, facets in cases:
+        delta = SimplicialComplex(I.vars, facets)
+        for bset in contains_strongly_disjoint_set(delta):
+            seen += 1
+            for perm in itertools.permutations(range(len(bset))):
+                seq = bouquet_orderings(bset, perm)
+                check = is_well_ordered_cover(facet_ideal(delta), seq)
+                assert check, (I, perm, check.reason)
+    assert seen >= 10
 
 
 def test_three_disjointness_matches_facet_distance():

@@ -503,6 +503,31 @@ def test_homology_goldens_reproduce(capsys):
         assert run(capsys, *case["argv"]) == (0, case["stdout"], ""), case["argv"]
 
 
+BOUQUETS_GOLDEN = Path(__file__).resolve().parent / "bouquets_golden.json"
+
+
+def test_bouquets_goldens_reproduce(capsys):
+    # bouquets --find on each benchmark ideal, with and without --first,
+    # in text and JSON form, and --check, --reps and --subadd on the
+    # three brooms
+    cases = json.loads(BOUQUETS_GOLDEN.read_text())
+    assert len(cases) == 52
+    for case in cases:
+        assert run(capsys, *case["argv"]) == (0, case["stdout"], ""), case["argv"]
+
+
+def test_bouquets_subadd_honours_the_table_caps(capsys, monkeypatch):
+    argv = ["bouquets", "--check", "a*x,a*y;b*z,b*v,b*w;c*u,c*g", "--subadd", "0"]
+    for caps in (["--face-cap", "1", "--lattice-cap", "2"], ["--face-cap", "1"]):
+        code, out, err = run(capsys, *argv, *caps, "--gens", GENS_B)
+        assert (code, out) == (2, "")
+        assert "partial:" in err
+    monkeypatch.setenv("SQFBETTI_LATTICE_CAP", "2")
+    code, out, err = run(capsys, *argv, "--gens", GENS_B)
+    assert (code, out) == (2, "")
+    assert "lcm lattice exceeds cap 2" in err
+
+
 def test_exit_codes(capsys, monkeypatch):
     # empty input: domain error
     monkeypatch.setattr("sys.stdin", io.StringIO(""))

@@ -34,6 +34,9 @@ from sqfbetti.errors import (
     UncoveredVariable,
 )
 
+from conftest import random_sqf_ideal
+
+
 def test_variable_table_basics():
     vars = VariableTable(["x", "y", "z"])
     assert len(vars) == 3
@@ -165,8 +168,33 @@ def test_facet_index_accepts_int_or_monomial(path3):
 
 def test_complex_rejects_nested_facets():
     vars = VariableTable(["x", "y"])
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"facet x is contained in x\*y"):
         SimplicialComplex(vars, [SqfMonomial(0b01), SqfMonomial(0b11)])
+    with pytest.raises(ParseError, match=r"facet y is contained in y$"):
+        SimplicialComplex(vars, [SqfMonomial(0b01), SqfMonomial(0b10), SqfMonomial(0b10)])
+
+
+def test_complex_rejects_facets_outside_the_table_and_an_empty_list():
+    vars = VariableTable(["x", "y"])
+    with pytest.raises(ParseError, match="outside the variable table"):
+        SimplicialComplex(vars, [SqfMonomial(0b111)])
+    with pytest.raises(EmptyInput):
+        SimplicialComplex(vars, [])
+    with pytest.raises(UncoveredVariable):
+        SimplicialComplex(vars, [SqfMonomial(0b01)])
+
+
+def test_complex_keeps_its_facets_in_the_facet_ideals_order():
+    # facet i is generator i, whatever order the facets are given in
+    rng = random.Random(19)
+    for _ in range(200):
+        I = random_sqf_ideal(rng, max_vars=7, max_gens=7)
+        facets = list(I.gens)
+        rng.shuffle(facets)
+        delta = SimplicialComplex(I.vars, facets)
+        assert delta.facets == I.gens
+        assert facet_ideal(delta) == I
+        assert delta == facet_complex(I)
 
 
 def test_free_vertices_path(path3):

@@ -187,3 +187,33 @@ def test_hasse_pairs_path3(path3):
         i for i, m in enumerate(els) if m in set(path3.gens)
     }
     assert bottom_covers == gen_positions
+
+
+def _hasse_pairs_by_divisibility(lattice):
+    """The cover relations by the O(n^3) divisibility loop: the oracle."""
+    els = lattice.elements
+    n = len(els)
+    below: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and els[i].divides(els[j]):
+                below[j].append(i)
+    pairs = []
+    for j in range(n):
+        for i in below[j]:
+            # i is covered by j unless something sits strictly between
+            if not any(
+                k != i and els[i].divides(els[k]) for k in below[j] if k != j
+            ):
+                pairs.append((i, j))
+    return pairs
+
+
+def test_hasse_pairs_match_the_divisibility_oracle(triangle_tail, three_brooms):
+    rng = random.Random(83)
+    ideals = [triangle_tail, three_brooms] + [
+        random_sqf_ideal(rng, max_vars=7, max_gens=7) for _ in range(300)
+    ]
+    for I in ideals:
+        lat = build_lattice(I)
+        assert hasse_pairs(lat) == _hasse_pairs_by_divisibility(lat), I
