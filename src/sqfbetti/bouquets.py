@@ -265,17 +265,22 @@ def _representative_systems(
     bouquets: Sequence[Bouquet], near: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
     """Pairwise 3-disjoint representative choices, in lexicographic order."""
+    return _extend_reps(bouquets, near, (), 0)
 
+
+def _extend_reps(
+    bouquets: Sequence[Bouquet],
+    near: Sequence[int],
+    chosen: tuple[int, ...],
+    blocked: int,
+) -> Iterator[tuple[int, ...]]:
     # near is symmetric: blocked holds every facet too close to a chosen one
-    def extend(chosen: tuple[int, ...], blocked: int) -> Iterator[tuple[int, ...]]:
-        if len(chosen) == len(bouquets):
-            yield chosen
-            return
-        for r in sorted(bouquets[len(chosen)].facets):
-            if not blocked >> r & 1:
-                yield from extend(chosen + (r,), blocked | near[r])
-
-    return extend((), 0)
+    if len(chosen) == len(bouquets):
+        yield chosen
+        return
+    for r in sorted(bouquets[len(chosen)].facets):
+        if not blocked >> r & 1:
+            yield from _extend_reps(bouquets, near, chosen + (r,), blocked | near[r])
 
 
 def representative_systems(
@@ -335,22 +340,31 @@ def _candidate_bouquets(
     Nonempty intersection is inherited by subsets, so the DFS extends a
     branch only while the running intersection stays nonempty.
     """
-    n = len(delta.facets)
     masks = [f.mask for f in delta.facets]
     found: list[tuple[tuple[int, ...], int]] = []
-
-    def grow(subset: tuple[int, ...], common: int, union: int, start: int) -> None:
-        spend()
-        if subset and all(private_bits([masks[k] for k in subset])):
-            found.append((subset, union))
-        for nxt in range(start, n):
-            c = common & masks[nxt]
-            if not c:
-                continue
-            grow(subset + (nxt,), c, union | masks[nxt], nxt + 1)
-
-    grow((), delta.vars.full_mask, 0, 0)
+    _grow_bouquet(masks, spend, found, (), delta.vars.full_mask, 0, 0)
     return found
+
+
+def _grow_bouquet(
+    masks: Sequence[int],
+    spend,
+    found: list[tuple[tuple[int, ...], int]],
+    subset: tuple[int, ...],
+    common: int,
+    union: int,
+    start: int,
+) -> None:
+    spend()
+    if subset and all(private_bits([masks[k] for k in subset])):
+        found.append((subset, union))
+    for nxt in range(start, len(masks)):
+        c = common & masks[nxt]
+        if not c:
+            continue
+        _grow_bouquet(
+            masks, spend, found, subset + (nxt,), c, union | masks[nxt], nxt + 1
+        )
 
 
 def _family_search(
@@ -364,23 +378,31 @@ def _family_search(
     Branches on which candidate covers the lowest uncovered vertex, so
     each family is reached exactly once.
     """
-    full = delta.vars.full_mask
+    _extend_family(candidates, delta.vars.full_mask, spend, emit, [], 0)
 
-    def dfs(chosen: list[tuple[int, ...]], covered: int) -> bool:
-        spend()
-        if covered == full:
-            return emit(tuple(chosen))
-        v = (~covered & full) & -(~covered & full)
-        for subset, vmask in candidates:
-            if vmask & v and not vmask & covered:
-                chosen.append(subset)
-                stop = dfs(chosen, covered | vmask)
-                chosen.pop()
-                if stop:
-                    return True
-        return False
 
-    dfs([], 0)
+def _extend_family(
+    candidates: list[tuple[tuple[int, ...], int]],
+    full: int,
+    spend,
+    emit,
+    chosen: list[tuple[int, ...]],
+    covered: int,
+) -> bool:
+    spend()
+    if covered == full:
+        return emit(tuple(chosen))
+    v = (~covered & full) & -(~covered & full)
+    for subset, vmask in candidates:
+        if vmask & v and not vmask & covered:
+            chosen.append(subset)
+            stop = _extend_family(
+                candidates, full, spend, emit, chosen, covered | vmask
+            )
+            chosen.pop()
+            if stop:
+                return True
+    return False
 
 
 def _greedy_family(delta: SimplicialComplex) -> list[tuple[int, ...]] | None:

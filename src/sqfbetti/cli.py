@@ -236,10 +236,11 @@ def _cmd_lattice(args, I: MonomialIdeal, field: FieldSpec) -> int:
     return 0
 
 
-def _woc_json(I: MonomialIdeal, woc) -> dict:
+def _woc_json(names: Sequence[list[str]], woc) -> dict:
+    """One found cover; names[i] lists the variables of generator i."""
     return {
         "sequence": list(woc.sequence),
-        "generators": [_names(I, I.gens[i]) for i in woc.sequence],
+        "generators": [names[i] for i in woc.sequence],
         "witnesses": [[n, j] for n, j in woc.witnesses],
     }
 
@@ -297,11 +298,12 @@ def _cmd_covers(args, I: MonomialIdeal, field: FieldSpec) -> int:
             I, size=args.size, first_only=args.first, budget=budget
         )
         if args.format == "json":
+            names = [_names(I, g) for g in I.gens]
             _emit(
                 {
                     "mode": "well_ordered",
                     "exhaustive": True,
-                    "covers": [_woc_json(I, w) for w in found],
+                    "covers": [_woc_json(names, w) for w in found],
                 }
             )
         elif not found:

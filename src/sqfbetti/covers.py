@@ -283,26 +283,43 @@ def _minimal_covers(
     path that takes its lowest member holding that variable each time.
     """
     masks = [g.mask for g in I.gens]
-    full = I.vars.full_mask
+    _extend_cover(masks, I.vars.full_mask, spend, found, 0, 0, [], 0)
 
-    def dfs(chosen: int, covered: int, private: list[int], barred: int) -> None:
-        spend()
-        if covered == full:
-            found.append(chosen)
-            return
-        v = (~covered & full) & -(~covered & full)  # lowest uncovered bit
-        for g, gmask in enumerate(masks):
-            # v is uncovered, so a chosen generator never holds it
-            if not gmask & v or barred >> g & 1:
-                continue
-            new_private = [p & ~gmask for p in private]
-            if any(not p for p in new_private):
-                continue
-            new_private.append(gmask & ~covered)
-            dfs(chosen | 1 << g, covered | gmask, new_private, barred)
-            barred |= 1 << g
 
-    dfs(0, 0, [], 0)
+def _extend_cover(
+    masks: Sequence[int],
+    full: int,
+    spend: Callable[[], None],
+    found: list[int],
+    chosen: int,
+    covered: int,
+    private: list[int],
+    barred: int,
+) -> None:
+    """One state of the minimal cover DFS of _minimal_covers.
+
+    chosen is the mask of the members so far and covered their bits;
+    private[k] holds the bits that only the k-th member reaches, and
+    barred the generators this state may not add.
+    """
+    spend()
+    if covered == full:
+        found.append(chosen)
+        return
+    v = (~covered & full) & -(~covered & full)  # lowest uncovered bit
+    for g, gmask in enumerate(masks):
+        # v is uncovered, so a chosen generator never holds it
+        if not gmask & v or barred >> g & 1:
+            continue
+        new_private = [p & ~gmask for p in private]
+        if not all(new_private):
+            continue
+        new_private.append(gmask & ~covered)
+        _extend_cover(
+            masks, full, spend, found,
+            chosen | 1 << g, covered | gmask, new_private, barred,
+        )
+        barred |= 1 << g
 
 
 def _by_size(found: Iterable[int]) -> list[int]:
@@ -325,13 +342,7 @@ def find_well_ordered_covers(
     everything the future depends on.  Both are bitmasks over generator
     indices, so the memo key is two ints; j is the number of members
     remaining, and they are tried lowest index first, the ascending order
-    of the sorted cover.  With first_only each state stops at its first
-    completion, so the memo holds at most one per state and the result
-    is the first sequence of the full search.  One budget counts the
-    whole call: each state of the minimal cover enumeration, each state
-    of the ordering search, and each head that a state extends by one
-    member.  Exceeding it raises SizeLimitExceeded with the well ordered
-    covers found so far attached.
+    of the sorted cover.
 
     A branch that leaves a non-member n undischarged, with no member left
     to place that could ever discharge it, is cut before its child state
@@ -344,18 +355,33 @@ def find_well_ordered_covers(
     only the count of states falls.  A cover with a non-member of empty
     can[n] spends one state, its root.
 
-    Each memo entry pairs a head (the members at positions 1..j) with the
-    (n, position) witnesses discharged inside it.  Positions are filled
-    downward, so a non-member leaves the undischarged set at its maximal
-    witness: the union along a sequence's path is its witnesses, the
-    alpha values.  So a sequence is checked through its edges, each once,
-    when its memo entry is built: an edge takes one member out of the
-    remaining set, so a completed path permutes the cover, and each
-    non-member leaves the undischarged set on one edge, so the path
-    carries one witness per non-member.  For each n an edge discharges,
+    A memo entry is (count, edges): count is the number of completed
+    heads (orderings of the members at positions 1..j) below the state,
+    and each edge (g, j, discharged, child) places g at position j, lists
+    the (n, j) witnesses that placement discharges, and leads to the
+    child state's entry; an edge is kept only when its child completes.
+    With first_only each state keeps its first such edge, so the entries
+    form a chain and the result is the first sequence of the full search.
+    After a cover's search, one depth-first walk over the edges writes g
+    at position j of a sequence buffer and each discharged pair at the
+    non-member's rank in a witness buffer, and builds one
+    WellOrderedCover per leaf, in the search's order.  Positions are
+    filled downward, so a non-member leaves the undischarged set at its
+    maximal witness, on exactly one edge of each path: the buffer holds
+    the alpha values in non-member order.
+
+    So a sequence is checked through its edges, each once, when its memo
+    entry is built: an edge takes one member out of the remaining set, so
+    a completed path permutes the cover.  For each n an edge discharges,
     0 < j < s and m_j | lcm(n, m_{j+1}, ..., m_s) are tested on the raw
     masks, and a cover that emits a sequence is decided minimal once;
     maximality of j rests on the downward fill and is not rechecked.
+
+    One budget counts the whole call: each state of the minimal cover
+    enumeration, each state of the ordering search, and, for each edge,
+    its child's count, so a state is charged once per head it extends by
+    one member.  Exceeding it raises SizeLimitExceeded with the well
+    ordered covers of the covers already walked attached.
     """
     masks = [g.mask for g in I.gens]
     everyone = (1 << len(masks)) - 1
@@ -378,64 +404,103 @@ def find_well_ordered_covers(
                 if not private & ~masks[n]:
                     can[n] |= 1 << g
 
-        memo: dict[tuple[int, int], tuple] = {}
-
-        def complete(remaining: int, unsat: int, placed: int) -> tuple:
-            if not remaining:
-                return (((), ()),) if not unsat else ()
-            key = (remaining, unsat)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            spend()
-            j = remaining.bit_count()
-            out = []
-            rest = remaining
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                g = bit.bit_length() - 1
-                left = remaining ^ bit
-                # m_j | lcm(n, placed members) iff n holds the bits of m_j
-                # that no placed member does; m_s discharges nothing, and no
-                # n holds every bit of -1
-                fresh = masks[g] & ~placed if j < s else -1
-                new_unsat = u = unsat
-                while u:
-                    nbit = u & -u
-                    u ^= nbit
-                    n = nbit.bit_length() - 1
-                    if not fresh & ~masks[n]:
-                        new_unsat ^= nbit
-                    elif not can[n] & left:
-                        break  # no member left to place can discharge n
-                else:
-                    heads = complete(left, new_unsat, placed | masks[g])
-                    if heads:
-                        discharged = tuple(
-                            (n, j) for n in _indices_of(unsat ^ new_unsat)
-                        )
-                        assert all(
-                            0 < j < s and not masks[g] & ~(masks[n] | placed)
-                            for n, _ in discharged
-                        ), "edge fails its witness check"
-                        for head, carried in heads:
-                            out.append((head + (g,), carried + discharged))
-                        spend(len(heads))
-                        if first_only:
-                            break
-            memo[key] = tuple(out)
-            return memo[key]
-
-        emitted = complete(cover, everyone ^ cover, 0)
-        memo.clear()  # complete refers to itself, so only the cycle collector frees it
+        search = (masks, can, s, {}, spend, first_only)
+        root = _orderings(cover, everyone ^ cover, 0, search)
+        emitted = root[0]
         assert not emitted or is_minimal_cover(I, members), "emitting cover not minimal"
-        for seq, carried in emitted:
-            results.append(WellOrderedCover(I, seq, tuple(sorted(carried))))
-            if first_only:
-                return results
+        if not emitted:
+            continue
+        if root[1]:
+            rank = {n: r for r, n in enumerate(non_members)}
+            _walk(I, root, [0] * s, [None] * len(non_members), rank, results)
+        else:  # the empty sequence covers an ideal without variables
+            results.append(WellOrderedCover(I, (), ()))
+        if first_only:
+            return results
 
     return results
+
+
+_LEAF = (1, ())  # the entry of a completed head: one, with no edge below
+_DEAD = (0, ())
+
+
+def _orderings(remaining: int, unsat: int, placed: int, search: tuple) -> tuple:
+    """The memo entry (count, edges) of one state of the ordering search.
+
+    remaining and unsat are the state's key, placed the mask of the
+    members at positions j+1..s; search holds (masks, can, s, memo,
+    spend, first_only) for the cover.  Children are looked up in the memo
+    before they are entered.
+    """
+    if not remaining:
+        return _DEAD if unsat else _LEAF
+    masks, can, s, memo, spend, first_only = search
+    spend()
+    j = remaining.bit_count()
+    edges = []
+    count = 0
+    rest = remaining
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        g = bit.bit_length() - 1
+        left = remaining ^ bit
+        # m_j | lcm(n, placed members) iff n holds the bits of m_j that no
+        # placed member does; m_s discharges nothing, and no n holds every
+        # bit of -1
+        fresh = masks[g] & ~placed if j < s else -1
+        new_unsat = u = unsat
+        while u:
+            nbit = u & -u
+            u ^= nbit
+            n = nbit.bit_length() - 1
+            if not fresh & ~masks[n]:
+                new_unsat ^= nbit
+            elif not can[n] & left:
+                break  # no member left to place can discharge n
+        else:
+            key = (left, new_unsat)
+            child = memo.get(key)
+            if child is None:
+                child = _orderings(left, new_unsat, placed | masks[g], search)
+                memo[key] = child
+            if child[0]:
+                discharged = tuple((n, j) for n in _indices_of(unsat ^ new_unsat))
+                assert all(
+                    0 < j < s and not masks[g] & ~(masks[n] | placed)
+                    for n, _ in discharged
+                ), "edge fails its witness check"
+                edges.append((g, j, discharged, child))
+                count += child[0]
+                spend(child[0])
+                if first_only:
+                    break
+    return (count, tuple(edges))
+
+
+def _walk(
+    I: MonomialIdeal,
+    entry: tuple,
+    seq: list[int],
+    wit: list,
+    rank: dict[int, int],
+    results: list[WellOrderedCover],
+) -> None:
+    """Append the WellOrderedCover of each path below entry to results.
+
+    seq and wit are the buffers of the path so far: each edge writes its
+    member at its position and its discharged pairs at their non-members'
+    ranks, so at a leaf every slot holds the path's own value.
+    """
+    for g, j, discharged, child in entry[1]:
+        seq[j - 1] = g
+        for pair in discharged:
+            wit[rank[pair[0]]] = pair
+        if child[1]:
+            _walk(I, child, seq, wit, rank, results)
+        else:
+            results.append(WellOrderedCover(I, tuple(seq), tuple(wit)))
 
 
 def _as_cover(I: MonomialIdeal, woc) -> WellOrderedCover:

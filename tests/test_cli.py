@@ -516,6 +516,19 @@ def test_bouquets_goldens_reproduce(capsys):
         assert run(capsys, *case["argv"]) == (0, case["stdout"], ""), case["argv"]
 
 
+COVERS_CLI_GOLDEN = Path(__file__).resolve().parent / "covers_cli_golden.json"
+
+
+def test_covers_well_ordered_goldens_reproduce(capsys):
+    # covers --well-ordered --all --format json on the benchmark ideals
+    # whose output is small: triangle_tail, four_triangles, and three
+    # with no well ordered cover
+    cases = json.loads(COVERS_CLI_GOLDEN.read_text())
+    assert len(cases) == 5
+    for case in cases:
+        assert run(capsys, *case["argv"]) == (0, case["stdout"], ""), case["argv"]
+
+
 def test_bouquets_subadd_honours_the_table_caps(capsys, monkeypatch):
     argv = ["bouquets", "--check", "a*x,a*y;b*z,b*v,b*w;c*u,c*g", "--subadd", "0"]
     for caps in (["--face-cap", "1", "--lattice-cap", "2"], ["--face-cap", "1"]):

@@ -1,14 +1,22 @@
+import gc
+import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from sqfbetti import (
     Cover,
+    MonomialIdeal,
     SqfMonomial,
+    VariableTable,
     WellOrderedCover,
     alpha_values,
+    contains_strongly_disjoint_set,
     enumerate_minimal_covers,
+    facet_complex,
     find_well_ordered_covers,
     induced_subideal,
     is_minimal_cover,
@@ -318,6 +326,14 @@ def test_ell_is_s_without_non_members():
     assert ell == 2
 
 
+def test_empty_sequence_covers_the_ideal_without_variables():
+    # the root state is the only leaf, so no edge reaches it
+    I = MonomialIdeal(VariableTable([]), [])
+    for first_only in (False, True):
+        found = find_well_ordered_covers(I, first_only=first_only)
+        assert [(w.sequence, w.witnesses) for w in found] == [((), ())]
+
+
 def test_rotation_reproduces_shifted_cover(star_cluster):
     seq = seq_of(star_cluster, "gy", "gx", "eg", "fg", "bcd", "gh", "gi", "abc")
     rotated = rotate_cover(is_well_ordered_cover(star_cluster, seq).woc, 4)
@@ -556,6 +572,39 @@ def test_search_budget_is_pinned(request, name, first_only):
     for seq, witnesses in partial:
         ok, expect, _ = _ordered_cover(masks, seq, I.vars.full_mask)
         assert ok and witnesses == tuple(expect), seq
+
+
+COVERS_GOLDEN = Path(__file__).resolve().parent / "covers_golden.json"
+
+
+@pytest.mark.parametrize("name", json.loads(COVERS_GOLDEN.read_text()))
+def test_search_gives_the_pinned_sequences(name):
+    # the full search on the ideals of the benchmark's certify workload:
+    # the sha256 of the repr of its (sequence, witnesses) list pins the
+    # order and the witnesses, and first_only gives its first sequence
+    pinned = json.loads(COVERS_GOLDEN.read_text())[name]
+    I = parse_ideal_text("\n".join(pinned["gens"]))
+    found = [(w.sequence, w.witnesses) for w in find_well_ordered_covers(I)]
+    first = [(w.sequence, w.witnesses) for w in find_well_ordered_covers(I, first_only=True)]
+    assert len(found) == pinned["count"]
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == pinned["sha256"]
+    assert first == found[:1]
+
+
+def test_searches_leave_no_reference_cycles(three_brooms):
+    # a dropped result is freed by reference counting alone: no search
+    # keeps its recursion, its memo or its results in a cycle
+    delta = facet_complex(three_brooms)
+    gc.collect()
+    gc.disable()
+    try:
+        find_well_ordered_covers(three_brooms)
+        find_well_ordered_covers(three_brooms, first_only=True)
+        enumerate_minimal_covers(three_brooms)
+        contains_strongly_disjoint_set(delta)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_search_cuts_a_cover_no_ordering_completes(path3):
