@@ -529,6 +529,20 @@ def test_covers_well_ordered_goldens_reproduce(capsys):
         assert run(capsys, *case["argv"]) == (0, case["stdout"], ""), case["argv"]
 
 
+ANALYSIS_GOLDEN = Path(__file__).resolve().parent / "analysis_golden.json"
+
+
+def test_lattice_and_subadd_goldens_reproduce(capsys):
+    # lattice, subadd --full --with-witnesses and subadd --witnesses i a b
+    # --all for every a, b >= 1 with a + b <= pd, all as JSON, on the
+    # benchmark ideals that take under a second: the elements, the join
+    # witnesses and every witness pair in its order
+    cases = json.loads(ANALYSIS_GOLDEN.read_text())
+    assert len(cases) == 67
+    for case in cases:
+        assert run(capsys, *case["argv"]) == (0, case["stdout"], ""), case["argv"]
+
+
 def test_bouquets_subadd_honours_the_table_caps(capsys, monkeypatch):
     argv = ["bouquets", "--check", "a*x,a*y;b*z,b*v,b*w;c*u,c*g", "--subadd", "0"]
     for caps in (["--face-cap", "1", "--lattice-cap", "2"], ["--face-cap", "1"]):
