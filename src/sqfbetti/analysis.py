@@ -12,7 +12,6 @@ from .betti import BettiTable, betti_table, t_max
 from .core import MonomialIdeal, SqfMonomial
 from .errors import OutOfRange, SqfBettiError
 from .homology import RATIONALS, FieldSpec
-from .lattice import complementary
 
 
 def _table_for(
@@ -103,35 +102,81 @@ def search_complement_witnesses(
     """Complement pairs (m, m2) with beta_{a,m} >= 1 and beta_{b,m2} >= 1.
 
     The candidates are the table's nonzero entries in degrees a and b,
-    which lie in the lcm lattice, so the scan is exhaustive over it.  It
-    runs in lattice order, by increasing degree then support of m (then
-    of m2), and stops at the first hit unless all_pairs is set.  A table
-    over another field or ideal raises SqfBettiError.
+    which lie in the lcm lattice, so the search is exhaustive over it.
+    It reads the degree-b entries R = table.nonzero(b) through a bitset
+    index, bit k standing for R[k]: one int per variable x (x divides
+    R[k]) and one per generator g (g divides R[k]).  For each m of
+    degree a, in lattice order, the candidates are the AND of the ints
+    of the variables m lacks (so lcm(m, m2) is the top), less the ints
+    of the generators dividing m (so gcd(m, m2) is not in I).  The set
+    bits are read from low to high, so the pairs come in lattice order,
+    by increasing degree then support of m (then of m2), and the search
+    stops at the first hit unless all_pairs is set.  The index of each
+    degree is built once per table, on first use, and kept in
+    ``table.witness_index``.  A table over another field or ideal
+    raises SqfBettiError.
     """
     if a + b != i:
         raise OutOfRange(f"need a + b = i, got {a} + {b} != {i}")
     if a < 1 or b < 1:
         raise OutOfRange("witness degrees must be positive")
     table = _table_for(I, field, table)
-
-    def nonzero_in(degree: int) -> list[SqfMonomial]:
-        found = [
-            m for (d, m), rank in table.multigraded.items() if d == degree and rank
-        ]
-        return sorted(found, key=SqfMonomial.sort_key)
-
-    right = nonzero_in(b)
+    right, holds, below = _witness_index(table, b)
     full = I.vars.full_mask
+    every = (1 << len(right)) - 1
     out = []
-    for m in nonzero_in(a):
-        # the variables m lacks; an m2 without all of them cannot complete the lcm
-        need = full & ~m.mask
-        for m2 in right:
-            if m2.mask & need == need and complementary(I, m, m2):
-                out.append((m, m2))
-                if not all_pairs:
-                    return out
+    for m in table.nonzero(a):
+        mask = m.mask
+        candidates = every
+        lacks = full ^ mask
+        while lacks:
+            low = lacks & -lacks
+            candidates &= holds[low.bit_length() - 1]
+            lacks ^= low
+        if not candidates:
+            continue
+        for g, divisible in below:
+            if g & mask == g:
+                candidates &= ~divisible
+        while candidates:
+            low = candidates & -candidates
+            out.append((m, right[low.bit_length() - 1]))
+            if not all_pairs:
+                return out
+            candidates ^= low
     return out
+
+
+def _witness_index(
+    table: BettiTable, b: int
+) -> tuple[list[SqfMonomial], list[int], list[tuple[int, int]]]:
+    """(R, holds, below) for R = table.nonzero(b), made once per table.
+
+    Bit k of holds[x] is set when variable x divides R[k]; below holds
+    one (mask of g, bits) per generator g, bit k set when g divides R[k].
+    """
+    index = table.witness_index.get(b)
+    if index is None:
+        right = table.nonzero(b)
+        # transpose the masks' binary digits: one row "0b1" + n digits
+        # per entry, R[k] in row len(R) - 1 - k, so that the column of
+        # variable x read top-down is holds[x] in binary
+        n = len(table.ideal.vars)
+        top = 1 << n
+        width = n + 3
+        rows = "".join([bin(m.mask | top) for m in reversed(right)])
+        holds = [int("0" + rows[width - 1 - x :: width], 2) for x in range(n)]
+        below = []
+        for g in table.ideal.gens:
+            divisible = -1
+            mask = g.mask
+            while mask:
+                low = mask & -mask
+                divisible &= holds[low.bit_length() - 1]
+                mask ^= low
+            below.append((g.mask, divisible))
+        index = table.witness_index[b] = (right, holds, below)
+    return index
 
 
 class TopDegreeCheck:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
 
-from .core import MonomialIdeal, SqfMonomial, _indices_of
+from .core import MonomialIdeal, SqfMonomial, _indices_of, mask_sort_key
 from .errors import OutOfRange, ParseError, SizeLimitExceeded
 from .homology import (
     DEFAULT_FACE_CAP,
@@ -22,9 +22,26 @@ class BettiTable:
     multigraded maps (i, m) to a positive rank; graded aggregates by
     total degree, graded[(i, j)] = sum of multigraded[(i, m)] over
     deg m = j.  t maps a in 1..pd to max{j : graded[(a, j)] > 0}.
+
+    nonzero(i) lists the multidegrees m with beta_{i,m} != 0 in lattice
+    order.  betti_table hands the lists in as it walks the lattice; for
+    a table built from a bare dict they are made on first use, with one
+    sort.  The complement witness search keeps its per-degree bitset
+    index in ``witness_index`` (see search_complement_witnesses).  Both
+    are built once per table and never rebuilt, so a table must not be
+    changed once built.
     """
 
-    __slots__ = ("ideal", "field", "multigraded", "graded", "pd", "t")
+    __slots__ = (
+        "ideal",
+        "field",
+        "multigraded",
+        "graded",
+        "pd",
+        "t",
+        "_nonzero",
+        "witness_index",
+    )
 
     def __init__(
         self,
@@ -34,6 +51,7 @@ class BettiTable:
         graded: dict[tuple[int, int], int],
         pd: int,
         t: dict[int, int],
+        nonzero: dict[int, list[SqfMonomial]] | None = None,
     ):
         self.ideal = ideal
         self.field = field
@@ -41,6 +59,22 @@ class BettiTable:
         self.graded = graded
         self.pd = pd
         self.t = t
+        self._nonzero = nonzero
+        self.witness_index: dict = {}
+
+    def nonzero(self, i: int) -> list[SqfMonomial]:
+        """The m with beta_{i,m} != 0, in lattice order (do not mutate)."""
+        if self._nonzero is None:
+            by_degree: dict[int, list[SqfMonomial]] = {}
+            keyed = sorted(
+                (mask_sort_key(m.mask), d, m)
+                for (d, m), rank in self.multigraded.items()
+                if rank
+            )
+            for _, d, m in keyed:
+                by_degree.setdefault(d, []).append(m)
+            self._nonzero = by_degree
+        return self._nonzero.get(i, [])
 
     def totals(self) -> tuple[int, ...]:
         """(beta_0, beta_1, ..., beta_pd)."""
@@ -101,7 +135,9 @@ def betti_table(
     """
     lat = build_lattice(I, cap=lattice_cap)
     masks = [g.mask for g in I.gens]
-    multigraded = {(0, SqfMonomial.one()): 1}
+    one = SqfMonomial.one()
+    multigraded = {(0, one): 1}
+    nonzero: dict[int, list[SqfMonomial]] = {0: [one]}
     for m in lat.elements:
         if m.is_one:
             continue
@@ -111,6 +147,7 @@ def betti_table(
             raise SizeLimitExceeded(str(e), partial=multigraded) from None
         for d, rank in homology.items():
             multigraded[(d + 2, m)] = rank
+            nonzero.setdefault(d + 2, []).append(m)
     graded: dict[tuple[int, int], int] = {}
     for (i, m), rank in multigraded.items():
         key = (i, m.degree)
@@ -121,7 +158,7 @@ def betti_table(
         degs = [j for (i, j) in graded if i == a]
         if degs:
             t[a] = max(degs)
-    return BettiTable(I, field, multigraded, graded, pd, t)
+    return BettiTable(I, field, multigraded, graded, pd, t, nonzero)
 
 
 def t_max(table: BettiTable, a: int) -> int:

@@ -185,7 +185,11 @@ def _near(delta: SimplicialComplex) -> list[int]:
     """Bit j of near[i]: some facet meets facets i and j (distance <= 2).
 
     Facets r and c are 3-disjoint iff near[r] lacks bit c; bit r is set.
+    Built on the first call and kept on the complex, which later calls
+    return as it is.
     """
+    if delta._near is not None:
+        return delta._near
     masks = [f.mask for f in delta.facets]
     near = []
     for f in masks:
@@ -194,6 +198,7 @@ def _near(delta: SimplicialComplex) -> list[int]:
             if f & g:
                 around |= g
         near.append(sum(1 << j for j, g in enumerate(masks) if g & around))
+    delta._near = near
     return near
 
 

@@ -26,8 +26,22 @@ MAX_NARROW_VARS = 64
 # a plain identifier, optionally with the "(k)" suffix that polarize adds
 _VARIABLE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\([0-9]+\))?")
 
-# swaps the binary digits, for SqfMonomial.sort_key
+# swaps the binary digits, for mask_sort_key
 _FLIP_BITS = str.maketrans("01", "10")
+
+
+def mask_sort_key(mask: int) -> tuple[int, str]:
+    """The canonical order of masks: by degree, then by the sorted index tuple.
+
+    Orders masks exactly as ``(degree, indices)`` does, without building
+    the tuple.  The string is the mask's binary digits from bit 0 up,
+    with 0 and 1 swapped.  At equal degree the lowest differing bit
+    decides, and the mask holding it sorts first, as its smaller index
+    does in the tuple.  Two strings of equal degree are never in a
+    prefix relation: the longer one agrees with the shorter one's bits
+    and also holds its own top bit, so its degree would be higher.
+    """
+    return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP_BITS))
 
 
 def _indices_of(mask: int) -> tuple[int, ...]:
@@ -140,19 +154,8 @@ class SqfMonomial:
         return SqfMonomial(self.mask & other.mask)
 
     def sort_key(self) -> tuple[int, str]:
-        """The canonical order: by degree, then by the sorted index tuple.
-
-        Orders masks exactly as ``(self.degree, self.indices())`` does,
-        without building the tuple.  The string is the mask's binary
-        digits from bit 0 up, with 0 and 1 swapped.  At equal degree the
-        lowest differing bit decides, and the mask holding it sorts first,
-        as its smaller index does in the tuple.  Two strings of equal
-        degree are never in a prefix relation: the longer one agrees with
-        the shorter one's bits and also holds its own top bit, so its
-        degree would be higher.
-        """
-        mask = self.mask
-        return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP_BITS))
+        """The canonical order: :func:`mask_sort_key` of the mask."""
+        return mask_sort_key(self.mask)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SqfMonomial) and self.mask == other.mask
@@ -253,16 +256,21 @@ class SimplicialComplex:
     The facets are validated as :func:`normalize_generators` validates
     generators, and a list it would change (a repeated or nested facet,
     a facet outside the table) is refused.  ``facets`` is in the ideal's
-    canonical order, so facet i is generator i of ``ideal``.
+    canonical order, so facet i is generator i of ``ideal``.  The
+    bouquet searches cache the facets' distance-2 relation in ``_near``
+    (None until first needed), so a complex is not changed once built.
     """
 
-    __slots__ = ("vars", "facets", "ideal")
+    __slots__ = ("vars", "facets", "ideal", "_near")
 
     def __init__(self, vars: VariableTable, facets: Sequence[SqfMonomial]):
-        ideal = _normalize(facets, vars, refuse_drops=True)
-        self.vars = vars
+        self._set_ideal(_normalize(facets, vars, refuse_drops=True))
+
+    def _set_ideal(self, ideal: MonomialIdeal) -> None:
+        self.vars = ideal.vars
         self.facets = ideal.gens
         self.ideal = ideal
+        self._near = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SimplicialComplex) and self.ideal == other.ideal
@@ -339,8 +347,15 @@ def _normalize(
 
 
 def facet_complex(I: MonomialIdeal) -> SimplicialComplex:
-    """The facet complex of I: one facet per generator, same order."""
-    return SimplicialComplex(I.vars, I.gens)
+    """The facet complex of I: one facet per generator, same order.
+
+    I's generators are already minimal and canonical, so the complex is
+    built on I itself (``facet_complex(I).ideal is I``) without the
+    validation that the constructor gives a facet list.
+    """
+    delta = SimplicialComplex.__new__(SimplicialComplex)
+    delta._set_ideal(I)
+    return delta
 
 
 def facet_ideal(delta: SimplicialComplex) -> MonomialIdeal:

@@ -17,6 +17,7 @@ from .core import (
     SqfMonomial,
     _indices_of,
     format_monomial,
+    mask_sort_key,
     private_bits,
 )
 from . import errors
@@ -324,7 +325,7 @@ def _extend_cover(
 
 def _by_size(found: Iterable[int]) -> list[int]:
     """Cover masks ordered by size, then by their sorted members."""
-    return sorted(found, key=lambda c: SqfMonomial(c).sort_key())
+    return sorted(found, key=mask_sort_key)
 
 
 def find_well_ordered_covers(

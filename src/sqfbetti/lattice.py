@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import MonomialIdeal, SqfMonomial
+from .core import MonomialIdeal, SqfMonomial, mask_sort_key
 from .errors import NotInLattice, SizeLimitExceeded
 
 DEFAULT_LATTICE_CAP = 2**20
@@ -47,39 +47,57 @@ class LcmLattice:
 
 
 def build_lattice(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLattice:
-    """Saturate {1} u gens under pairwise lcm.
+    """Saturate {1} u gens under joins with single generators.
 
-    Joining with single generators suffices for closure, since every
-    element is an lcm of generators.  A new element's witness is its
-    parent's with gi appended, and so stays strictly increasing.  Say m
-    was first reached from p by joining g_t, so t ends m's witness, and
-    take gi <= t.  Either m | g_gi = m, or q = p | g_gi is an element
-    processed before m (p joins its generators in index order), and q
-    already reached m | g_gi = q | g_t.  Raises SizeLimitExceeded (with
-    the elements found so far attached) if the lattice would exceed cap.
+    The search runs level by level; an element found first from p by
+    joining g_t gets the witness w(p) + (t,).  Each element joins only
+    the generators after the last index of its witness, and the
+    witnesses come out as W(m), the least (lexicographically) strictly
+    increasing tuple of least length whose generators join to m.
+
+    By induction on the level k, level k holds every element whose
+    shortest tuple has length k, with witness W, in increasing order of
+    W.  Take m on level k + 1, W(m) = (t_1, ..., t_k, t), and p the join
+    of t_1, ..., t_k.  p lies on level k, since a shorter tuple for p
+    plus t would make m shorter.  If W(p) != (t_1, ..., t_k), then
+    W(p) is smaller, and sorting W(p) with t (which W(p) lacks, or p
+    would be m) gives an increasing tuple for m that is smaller than
+    W(m): W(p) agrees with (t_1, ..., t_k) up to an entry where it is
+    smaller, and those entries are all below t, so they stay in front.
+    So W(p) ends at t_k < t, and p joins g_t.  Level k + 1 is made by
+    walking the pairs (p, t) in increasing order of W(p) + (t,), so a
+    pair reaching m before (p, t) would give a smaller increasing tuple
+    for m.  Hence m's witness is W(m), and level k + 1 comes out in
+    increasing order of W.
+
+    Raises SizeLimitExceeded (with the elements found so far attached)
+    as soon as the element count exceeds cap.
     """
     witness: dict[int, tuple[int, ...]] = {0: ()}
     gen_masks = [g.mask for g in I.gens]
-    frontier = [0]
+    # (element, the first generator index after its witness)
+    frontier = [(0, 0)]
     while frontier:
         fresh = []
-        for m in frontier:
-            for gi, gmask in enumerate(gen_masks):
-                j = m | gmask
+        for m, start in frontier:
+            w = witness[m]
+            for gi, g in enumerate(gen_masks[start:], start):
+                j = m | g
                 if j not in witness:
-                    witness[j] = witness[m] + (gi,)
-                    fresh.append(j)
+                    witness[j] = w + (gi,)
+                    fresh.append((j, gi + 1))
                     if len(witness) > cap:
-                        partial = sorted(
-                            (SqfMonomial(k) for k in witness),
-                            key=SqfMonomial.sort_key,
-                        )
                         raise SizeLimitExceeded(
-                            f"lcm lattice exceeds cap {cap}", partial=partial
+                            f"lcm lattice exceeds cap {cap}",
+                            partial=_in_order(witness),
                         )
         frontier = fresh
-    elements = sorted((SqfMonomial(m) for m in witness), key=SqfMonomial.sort_key)
-    return LcmLattice(I, elements, witness)
+    return LcmLattice(I, _in_order(witness), witness)
+
+
+def _in_order(masks) -> list[SqfMonomial]:
+    """The masks as monomials in the canonical order."""
+    return [SqfMonomial(m) for m in sorted(masks, key=mask_sort_key)]
 
 
 def in_lattice(I: MonomialIdeal, m: SqfMonomial) -> bool:

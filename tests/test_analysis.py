@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from sqfbetti import (
     build_lattice,
     is_lattice_complement,
     multigraded_betti,
+    parse_ideal_text,
     search_complement_witnesses,
     top_degree_check,
     verify_subadditivity,
@@ -15,6 +18,7 @@ from sqfbetti import (
 from sqfbetti.betti import BettiTable
 from sqfbetti.errors import OutOfRange, SqfBettiError
 from sqfbetti.homology import FieldSpec
+from sqfbetti.lattice import complementary
 
 from conftest import mk, random_sqf_ideal
 
@@ -176,6 +180,61 @@ def test_witness_search_matches_full_scan():
                 assert first == full[:1]
                 hits += bool(full)
     assert hits >= 10
+
+
+def pairwise_scan(I, a, b, table, all_pairs):
+    """Every pair of nonzero entries in degrees a and b, in lattice order.
+
+    The witness search before the bitset index, kept as its oracle.
+    """
+
+    def nonzero_in(degree):
+        found = [
+            m for (d, m), rank in table.multigraded.items() if d == degree and rank
+        ]
+        return sorted(found, key=SqfMonomial.sort_key)
+
+    right = nonzero_in(b)
+    out = []
+    for m in nonzero_in(a):
+        for m2 in right:
+            if complementary(I, m, m2):
+                out.append((m, m2))
+                if not all_pairs:
+                    return out
+    return out
+
+
+def benchmark_ideals():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [parse_ideal_text("\n".join(gens)) for gens in inputs.FIXED.values()]
+
+
+def test_witness_search_matches_the_pairwise_scan():
+    rng = random.Random(67)
+    ideals = benchmark_ideals()
+    ideals += [random_sqf_ideal(rng, max_vars=9, max_gens=9) for _ in range(300)]
+    found = 0
+    for I in ideals:
+        table = betti_table(I)
+        bare = BettiTable(I, table.field, table.multigraded, table.graded, table.pd, table.t)
+        for d in range(table.pd + 1):
+            assert bare.nonzero(d) == table.nonzero(d), (I, d)
+        for a in range(1, table.pd):
+            for b in range(1, table.pd - a + 1):
+                every = pairwise_scan(I, a, b, table, all_pairs=True)
+                for t in (table, bare):
+                    got = search_complement_witnesses(
+                        I, a + b, a, b, all_pairs=True, table=t
+                    )
+                    assert got == every, (I, a, b)
+                    first = search_complement_witnesses(I, a + b, a, b, table=t)
+                    assert first == every[:1], (I, a, b)
+                found += len(every)
+    assert found >= 10_000
 
 
 def test_witness_order_ignores_table_insertion_order():

@@ -25,6 +25,7 @@ from sqfbetti import (
     representative_systems,
     spans_complex,
 )
+from sqfbetti.bouquets import _near
 from sqfbetti.errors import (
     InvalidBouquetSet,
     InvalidPartition,
@@ -453,6 +454,21 @@ def test_orderings_of_shuffled_facets_are_covers_of_the_facet_ideal(three_brooms
                 check = is_well_ordered_cover(facet_ideal(delta), seq)
                 assert check, (I, perm, check.reason)
     assert seen >= 10
+
+
+def test_near_relation_is_facet_distance_at_most_two():
+    # built once per complex, whichever of its users asks first
+    rng = random.Random(71)
+    for _ in range(60):
+        delta = facet_complex(random_sqf_ideal(rng, max_vars=12, max_gens=10))
+        near = _near(delta)
+        assert _near(delta) is near
+        n = len(delta.facets)
+        for i in range(n):
+            expect = {i} | {
+                j for j in range(n) if j != i and facet_distance(delta, i, j) <= 2
+            }
+            assert {j for j in range(n) if near[i] >> j & 1} == expect, (delta, i)
 
 
 def test_three_disjointness_matches_facet_distance():

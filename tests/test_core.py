@@ -154,6 +154,9 @@ def test_facet_dictionary_roundtrip(three_brooms):
     assert delta.facets == three_brooms.gens
     back = facet_ideal(delta)
     assert back == three_brooms
+    # the ideal is canonical already, so the complex is built on it as is
+    assert back is three_brooms
+    assert delta.vars is three_brooms.vars
 
 
 def test_facet_index_accepts_int_or_monomial(path3):

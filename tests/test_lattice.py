@@ -94,6 +94,46 @@ def test_cap_raises_with_partial(three_brooms):
     assert len(partial) > 10
 
 
+def all_generator_lattice(I, cap):
+    """The lattice search that joins every element with every generator.
+
+    Returns (elements, witness) or ("cap", partial) when the element
+    count exceeds cap; the oracle for build_lattice, which joins an
+    element only with the generators after its witness's last index.
+    """
+    witness = {0: ()}
+    frontier = [0]
+    while frontier:
+        fresh = []
+        for m in frontier:
+            for gi, g in enumerate(I.gens):
+                j = m | g.mask
+                if j not in witness:
+                    witness[j] = witness[m] + (gi,)
+                    fresh.append(j)
+                    if len(witness) > cap:
+                        return "cap", sorted(map(SqfMonomial, witness))
+        frontier = fresh
+    return sorted(map(SqfMonomial, witness)), witness
+
+
+def test_build_lattice_matches_the_all_generator_search(three_brooms, star_cluster):
+    rng = random.Random(29)
+    ideals = [three_brooms, star_cluster]
+    ideals += [random_sqf_ideal(rng, max_vars=9, max_gens=9) for _ in range(150)]
+    for I in ideals:
+        elements, witness = all_generator_lattice(I, cap=10**6)
+        lat = build_lattice(I)
+        assert list(lat.elements) == elements, I
+        assert lat.witness == witness, I
+        # the same elements are found in the same order, so the cap
+        # trips at the same element with the same partial lattice
+        cap = len(elements) // 2
+        with pytest.raises(SizeLimitExceeded) as e:
+            build_lattice(I, cap=cap)
+        assert e.value.partial == all_generator_lattice(I, cap)[1], I
+
+
 def test_complement_requires_lattice_membership(path3):
     xz = SqfMonomial.from_names(path3.vars, ["x", "z"])
     top = path3.top()
