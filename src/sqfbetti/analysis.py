@@ -112,16 +112,15 @@ def search_complement_witnesses(
     bits are read from low to high, so the pairs come in lattice order,
     by increasing degree then support of m (then of m2), and the search
     stops at the first hit unless all_pairs is set.  The index of each
-    degree is built once per table, on first use, and kept in
-    ``table.witness_index``.  A table over another field or ideal
-    raises SqfBettiError.
+    degree is built once per table, on first use, and kept on the
+    table.  A table over another field or ideal raises SqfBettiError.
     """
     if a + b != i:
         raise OutOfRange(f"need a + b = i, got {a} + {b} != {i}")
     if a < 1 or b < 1:
         raise OutOfRange("witness degrees must be positive")
     table = _table_for(I, field, table)
-    right, holds, below = _witness_index(table, b)
+    right, holds, below = _degree_index(table, b)
     full = I.vars.full_mask
     every = (1 << len(right)) - 1
     out = []
@@ -147,7 +146,7 @@ def search_complement_witnesses(
     return out
 
 
-def _witness_index(
+def _degree_index(
     table: BettiTable, b: int
 ) -> tuple[list[SqfMonomial], list[int], list[tuple[int, int]]]:
     """(R, holds, below) for R = table.nonzero(b), made once per table.
@@ -155,7 +154,7 @@ def _witness_index(
     Bit k of holds[x] is set when variable x divides R[k]; below holds
     one (mask of g, bits) per generator g, bit k set when g divides R[k].
     """
-    index = table.witness_index.get(b)
+    index = table._witness_index.get(b)
     if index is None:
         right = table.nonzero(b)
         # transpose the masks' binary digits: one row "0b1" + n digits
@@ -175,7 +174,7 @@ def _witness_index(
                 divisible &= holds[low.bit_length() - 1]
                 mask ^= low
             below.append((g.mask, divisible))
-        index = table.witness_index[b] = (right, holds, below)
+        index = table._witness_index[b] = (right, holds, below)
     return index
 
 

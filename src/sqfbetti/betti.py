@@ -27,7 +27,7 @@ class BettiTable:
     order.  betti_table hands the lists in as it walks the lattice; for
     a table built from a bare dict they are made on first use, with one
     sort.  The complement witness search keeps its per-degree bitset
-    index in ``witness_index`` (see search_complement_witnesses).  Both
+    index in ``_witness_index`` (see search_complement_witnesses).  Both
     are built once per table and never rebuilt, so a table must not be
     changed once built.
     """
@@ -40,7 +40,7 @@ class BettiTable:
         "pd",
         "t",
         "_nonzero",
-        "witness_index",
+        "_witness_index",
     )
 
     def __init__(
@@ -60,7 +60,7 @@ class BettiTable:
         self.pd = pd
         self.t = t
         self._nonzero = nonzero
-        self.witness_index: dict = {}
+        self._witness_index: dict = {}
 
     def nonzero(self, i: int) -> list[SqfMonomial]:
         """The m with beta_{i,m} != 0, in lattice order (do not mutate)."""

@@ -220,7 +220,9 @@ def test_witness_search_matches_the_pairwise_scan():
     found = 0
     for I in ideals:
         table = betti_table(I)
-        bare = BettiTable(I, table.field, table.multigraded, table.graded, table.pd, table.t)
+        bare = BettiTable(
+            I, table.field, table.multigraded, table.graded, table.pd, table.t
+        )
         for d in range(table.pd + 1):
             assert bare.nonzero(d) == table.nonzero(d), (I, d)
         for a in range(1, table.pd):
