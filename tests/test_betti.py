@@ -325,3 +325,13 @@ def test_json_writer_sorts_t_keys_as_strings():
     assert_stdlib_json(table)
     text = format_betti_json(table)
     assert text.index('"10": 10') < text.index('"11": 11') < text.index('"2": 2')
+
+
+def test_tables_match_the_pinned_digests():
+    # every table of the benchmark's seed-1 random ideals over QQ and
+    # GF(2), entry for entry and in insertion order (tests/betti_golden.py)
+    import betti_golden
+
+    pinned = json.loads(betti_golden.GOLDEN.read_text())
+    assert pinned["seed"] == betti_golden.SEED
+    assert betti_golden.differences(pinned["tables"], betti_golden.digests()) == []
