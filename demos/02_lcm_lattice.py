@@ -38,14 +38,14 @@ top = J.top()
 print(f"in (xy, yz, xz, za, ab, bc), whose top is "
       f"{format_monomial(top, J.vars)}:")
 for m in lat2.elements:
-    partners = enumerate_complements(J, m, lattice=lat2)
+    partners = enumerate_complements(J, m)
     if partners:
         shown = ", ".join(format_monomial(p, J.vars) for p in partners[:3])
         more = "" if len(partners) <= 3 else f", ... ({len(partners)} total)"
         print(f"  {format_monomial(m, J.vars):12} ~ {shown}{more}")
 
 m1 = lat2.elements[1]
-m2 = enumerate_complements(J, m1, lattice=lat2)
+m2 = enumerate_complements(J, m1)
 if m2:
     ok = is_lattice_complement(J, m1, m2[0])
     print(f"checked: {format_monomial(m1, J.vars)} and "

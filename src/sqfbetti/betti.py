@@ -10,7 +10,7 @@ from .homology import (
     DEFAULT_FACE_CAP,
     FieldSpec,
     RATIONALS,
-    _homology_below,
+    _rows_homology,
     homology_below,
 )
 from .lattice import DEFAULT_LATTICE_CAP, build_lattice, in_lattice
@@ -126,39 +126,55 @@ def betti_table(
 
     Only lattice elements can carry nonzero multigraded ranks, so the
     iteration is over LCM(I) rather than all 2^n square-free monomials.
-    face_cap bounds the faces built for one multidegree: those of the
-    complex that homology_below grows after collapsing, on the Taylor
-    rows or on their Stanley-Reisner complex, whichever bounds fewer
-    faces (see the homology module docstring).  If a
-    complex exceeds it, the SizeLimitExceeded carries the multigraded
-    entries (i, m) -> rank of the multidegrees finished before it.
+    An element m whose generators below it are exactly its lattice
+    witness, k of them, is a Boolean interval and runs no collapse: the
+    witness is a shortest tuple joining to m, so each of its generators
+    holds a variable that no other one holds, or the tuple without it
+    would join to m too.  A set of them then joins to m iff it holds all
+    k, and the faces below m are the proper subsets of k vertices: a
+    (k-2)-sphere, or {empty face} for k = 1, so beta_(k, m) = 1 over
+    every field and no other degree is nonzero.  face_cap bounds
+    the faces built for one multidegree: those of the complex that
+    homology_below grows after collapsing, on the Taylor rows or on
+    their Stanley-Reisner complex, whichever bounds fewer faces (see the
+    homology module docstring).  If a complex exceeds it, the
+    SizeLimitExceeded carries the multigraded entries (i, m) -> rank of
+    the multidegrees finished before it.
     """
     lat = build_lattice(I, cap=lattice_cap)
     masks = [g.mask for g in I.gens]
-    one = SqfMonomial.one()
+    witness = lat.witness
+    elements = iter(lat.elements)
+    one = next(elements)  # the bottom, 1
     multigraded = {(0, one): 1}
+    graded = {(0, 0): 1}
     nonzero: dict[int, list[SqfMonomial]] = {0: [one]}
-    for m in lat.elements:
-        if m.is_one:
-            continue
-        try:
-            homology = _homology_below(masks, m.mask, field.p, face_cap)
-        except SizeLimitExceeded as e:
-            raise SizeLimitExceeded(str(e), partial=multigraded) from None
-        for d, rank in homology.items():
-            multigraded[(d + 2, m)] = rank
-            nonzero.setdefault(d + 2, []).append(m)
-    graded: dict[tuple[int, int], int] = {}
-    for (i, m), rank in multigraded.items():
-        key = (i, m.degree)
-        graded[key] = graded.get(key, 0) + rank
-    pd = max(i for i, _ in graded)
-    t = {}
-    for a in range(1, pd + 1):
-        degs = [j for (i, j) in graded if i == a]
-        if degs:
-            t[a] = max(degs)
-    return BettiTable(I, field, multigraded, graded, pd, t, nonzero)
+    # the lattice runs by degree, so the last degree met in i is t_i; the
+    # least degree of beta_i rises strictly with i, so t's keys come in
+    # increasing order
+    t: dict[int, int] = {}
+    for m in elements:
+        top = m.mask
+        rows = [top & ~g for g in masks if g | top == top]
+        k = len(witness[top])
+        if len(rows) == k:
+            # a Boolean interval: each generator below m holds a private
+            # variable, so the faces below m are the proper subsets of k
+            # vertices, a (k-2)-sphere (proof in the docstring)
+            homology = ((k - 2, 1),)
+        else:
+            try:
+                homology = _rows_homology(rows, field.p, face_cap).items()
+            except SizeLimitExceeded as e:
+                raise SizeLimitExceeded(str(e), partial=multigraded) from None
+        j = m.degree
+        for d, rank in homology:
+            i = d + 2
+            multigraded[(i, m)] = rank
+            nonzero.setdefault(i, []).append(m)
+            graded[(i, j)] = graded.get((i, j), 0) + rank
+            t[i] = j
+    return BettiTable(I, field, multigraded, graded, max(t, default=0), t, nonzero)
 
 
 def t_max(table: BettiTable, a: int) -> int:

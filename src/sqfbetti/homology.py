@@ -33,9 +33,10 @@ row, the earlier peeled ones too, so after their peels it still misses
 only a's row, now r_a & ra: a is peeled while that row is nonzero and
 some other row is left, and the last row is kept if no other is.  If
 r_a & ra is 0, a is no vertex, and every row left holds a's variable:
-a nonempty simplex, so a cone.  The rows kept are then intersected
-with ra, and B runs once.  Only when C does not fire are the variable
-columns built, for A.
+a nonempty simplex, so a cone.  A single row kept ends the collapse,
+intersected with ra: a point, or {empty face} if that is 0.  Two or
+more rows kept are intersected with ra, and B runs once.  Only when C
+does not fire are the variable columns built, for A.
 
 The rules are combinatorial and hold over every field; for most
 multidegrees they leave one row, a point or {empty face}, and no
@@ -303,26 +304,30 @@ def homology_below(
     """Nonzero reduced homology ranks {d: h_d} of the Taylor faces below m.
 
     The same ranks as reduced_homology_ranks(taylor_faces_below(I, m)),
-    computed from a collapsed model.  The complex is the union of the
-    simplices D_x over the rows r_g = m minus g of the generators g | m;
-    two or more of them form an antichain of distinct nonzero masks.
-    _collapse runs the three rules of the module docstring, and _finish
-    grows and eliminates only what is left, on the Taylor rows or on
-    their Stanley-Reisner complex, whichever bounds fewer faces; cap
-    counts the faces of whichever complex is built.
+    computed from a collapsed model by _rows_homology on the rows
+    r_g = m minus g of the generators g | m.
     m = 1 gives the Void complex: no homology at all.
     """
     if m.is_one:
         return {}
-    return _homology_below([g.mask for g in I.gens], m.mask, field.p, cap)
+    top = m.mask
+    return _rows_homology(
+        [top & ~g.mask for g in I.gens if g.mask | top == top], field.p, cap
+    )
 
 
-def _homology_below(
-    masks: Sequence[int], top: int, p: int | None, cap: int
-) -> dict[int, int]:
-    """homology_below on the generator masks, for the multidegree top != 0."""
-    # an antichain of distinct masks, since r_a is in r_b iff g_b | g_a
-    rows, shift = _collapse([top & ~g for g in masks if g | top == top])
+def _rows_homology(rows: list[int], p: int | None, cap: int) -> dict[int, int]:
+    """Nonzero reduced homology {d: h_d} of the union of the D_x of the rows.
+
+    rows are the r_g = m minus g of the generators g | m, for some
+    m != 1; two or more of them form an antichain of distinct nonzero
+    masks, since r_a is in r_b iff g_b | g_a.  _collapse runs the three
+    rules of the module docstring, and _finish grows and eliminates
+    only what is left, on the Taylor rows or on their Stanley-Reisner
+    complex, whichever bounds fewer faces; cap counts the faces of
+    whichever complex is built.
+    """
+    rows, shift = _collapse(rows)
     if len(rows) < 2:
         # {empty face} when the row is 0 or there is none, else a cone
         return {shift - 1: 1} if not rows or not rows[0] else {}
@@ -334,10 +339,13 @@ def _collapse(rows: list[int]) -> tuple[list[int], int]:
 
     One pass over the rows finds the variables in every row, which make
     the complex a simplex, and those in all rows but one; C peels every
-    row that one of the latter misses in that pass.  A runs only when C
-    does not fire, and B after each cut.  The homology of the input rows
-    is that of the rows left, raised by the shift; a cone is left as one
-    nonzero row.
+    row that one of the latter misses in that pass, and a peel that
+    keeps one row ends the collapse with it.  A runs only when C does
+    not fire, and B after each cut.  The homology of the input rows is
+    that of the rows left, raised by the shift; a cone is left as one
+    nonzero row.  k rows whose generators each hold a private variable,
+    a Boolean interval, are peeled down to the row 0 with shift k - 1;
+    betti_table reads that answer off the lattice witness instead.
     """
     shift = 0
     while len(rows) > 1:
@@ -352,8 +360,14 @@ def _collapse(rows: list[int]) -> tuple[list[int], int]:
             # C: x in every row but r_a makes del(a) a simplex, and the
             # complex the suspension of link(a).  x lies in every row
             # peeled before a, so it still misses only a's row
-            peeled = [r for r in rows if but_one & ~r]
-            kept = [r for r in rows if not but_one & ~r] or [peeled.pop()]
+            peeled, kept = [], []
+            for r in rows:
+                if but_one & ~r:
+                    peeled.append(r)
+                else:
+                    kept.append(r)
+            if not kept:
+                kept.append(peeled.pop())
             ra = -1  # the product of the rows peeled so far
             for r in peeled:
                 if not r & ra:
@@ -361,6 +375,8 @@ def _collapse(rows: list[int]) -> tuple[list[int], int]:
                     return [ra], shift
                 ra &= r
                 shift += 1
+            if len(kept) == 1:
+                return [kept[0] & ra], shift  # a point, or {empty face} if 0
             rows = [rb & ra for rb in kept]
         else:
             holders: dict[int, int] = {}  # variable -> mask of the rows holding it

@@ -135,17 +135,40 @@ def is_lattice_complement(I: MonomialIdeal, m: SqfMonomial, m2: SqfMonomial) -> 
     return complementary(I, m, m2)
 
 
-def enumerate_complements(
-    I: MonomialIdeal,
-    m: SqfMonomial,
-    lattice: LcmLattice | None = None,
-) -> list[SqfMonomial]:
-    """All lattice complements of m, in (degree, index tuple) order."""
+def enumerate_complements(I: MonomialIdeal, m: SqfMonomial) -> list[SqfMonomial]:
+    """All lattice complements of m, in (degree, index tuple) order.
+
+    A complement m2 holds every variable c = U minus m that m lacks, so
+    it is c | T with T = gcd(m, m2), a set of m's variables that holds
+    no generator; and every such c | T in LCM(I) is a complement.  The
+    sets T are searched depth first over m's variables, and a T that
+    holds a generator is cut with all its supersets.  No lattice is
+    built.  Raises SizeLimitExceeded, with the complements found so far
+    attached, once more than DEFAULT_LATTICE_CAP sets T are visited.
+    """
     if not in_lattice(I, m):
         raise NotInLattice(f"{m!r} is not in LCM(I)")
-    if lattice is None:
-        lattice = build_lattice(I)
-    return [m2 for m2 in lattice.elements if complementary(I, m, m2)]
+    c = I.vars.full_mask & ~m.mask
+    below = [g.mask for g in I.gens if not g.mask & ~m.mask]
+    bits = [1 << k for k in m.indices()]
+    found = []
+    visited = 0
+    stack = [(0, 0)]  # (T, the position in bits of its next variable)
+    while stack:
+        t, start = stack.pop()
+        visited += 1
+        if visited > DEFAULT_LATTICE_CAP:
+            raise SizeLimitExceeded(
+                f"complement search exceeds cap {DEFAULT_LATTICE_CAP}",
+                partial=_in_order(found),
+            )
+        if in_lattice(I, SqfMonomial(c | t)):
+            found.append(c | t)
+        for pos in range(start, len(bits)):
+            u = t | bits[pos]
+            if all(g & ~u for g in below):
+                stack.append((u, pos + 1))
+    return _in_order(found)
 
 
 def hasse_pairs(lattice: LcmLattice) -> list[tuple[int, int]]:

@@ -31,14 +31,14 @@ SEED = 1
 FIELDS = {"QQ": FieldSpec(None), "GF(2)": FieldSpec(2)}
 
 
-def random_ideals(seed: int) -> list[tuple[str, ...]]:
-    """perfbench/inputs.random_ideals(seed), loaded from its file."""
+def load_inputs():
+    """perfbench/inputs.py as a module, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_inputs", ROOT / "perfbench" / "inputs.py"
     )
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    return inputs.random_ideals(seed)
+    return inputs
 
 
 def table_digest(table) -> str:
@@ -57,7 +57,8 @@ def table_digest(table) -> str:
 
 def digests() -> dict[str, list[str]]:
     """The digest of every table, per field label, in the seed's order."""
-    ideals = [parse_ideal_text("\n".join(gens)) for gens in random_ideals(SEED)]
+    ideals = load_inputs().random_ideals(SEED)
+    ideals = [parse_ideal_text("\n".join(gens)) for gens in ideals]
     return {
         label: [table_digest(betti_table(I, field)) for I in ideals]
         for label, field in FIELDS.items()

@@ -25,6 +25,7 @@ from sqfbetti.errors import ParseError, SizeLimitExceeded
 from sqfbetti import homology
 from sqfbetti.homology import homology_below
 
+from betti_golden import load_inputs
 from conftest import mk, random_sqf_ideal
 from dense import boundary_matrix
 from test_betti import RP2_6, cycle
@@ -390,6 +391,92 @@ def test_collapse_matches_taylor_complex(seed):
             assert homology_below(I, m, field) == expect
             if len(rows) >= 2:
                 assert dual_homology(rows, field.p) == expect
+
+
+def reference_collapse(rows):
+    """The collapse as it was before its one-row exit: the oracle.
+
+    It builds the peeled and kept rows in two passes, and a single kept
+    row still goes through rule B and the loop test.
+    """
+    shift = 0
+    while len(rows) > 1:
+        every, but_one = -1, 0
+        for r in rows:
+            but_one = but_one & r | every & ~r
+            every &= r
+        if every:
+            return [every], shift
+        if but_one:
+            peeled = [r for r in rows if but_one & ~r]
+            kept = [r for r in rows if not but_one & ~r] or [peeled.pop()]
+            ra = -1
+            for r in peeled:
+                if not r & ra:
+                    return [ra], shift
+                ra &= r
+                shift += 1
+            rows = [rb & ra for rb in kept]
+        else:
+            holders = {}
+            for a, ra in enumerate(rows):
+                while ra:
+                    x = ra & -ra
+                    ra ^= x
+                    holders[x] = holders.get(x, 0) | 1 << a
+            owner = {}
+            for x, c in holders.items():
+                owner.setdefault(c, x)
+            kept = homology._maximal(owner)
+            if len(kept) == len(holders):
+                break
+            keep = 0
+            for c in kept:
+                keep |= owner[c]
+            rows = [ra & keep for ra in rows]
+        rows = homology._maximal(rows)
+    return rows, shift
+
+
+def assert_collapse_matches_reference(I):
+    for m in build_lattice(I).elements:
+        rows = rows_below(I, m)
+        assert homology._collapse(list(rows)) == reference_collapse(list(rows)), m
+
+
+def test_collapse_matches_the_reference_on_the_benchmark_ideals():
+    for gens in load_inputs().FIXED.values():
+        assert_collapse_matches_reference(parse_ideal_text("\n".join(gens)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_collapse_matches_the_reference_on_randoms(seed):
+    assert_collapse_matches_reference(
+        random_sqf_ideal(random.Random(seed), max_vars=10, max_gens=10)
+    )
+
+
+def boolean_intervals(I):
+    """The elements m != 1 whose generators below are exactly its witness."""
+    lat = build_lattice(I)
+    for m in lat.elements[1:]:
+        if sum(1 for g in I.gens if g.divides(m)) == len(lat.witness[m.mask]):
+            yield m, len(lat.witness[m.mask])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_boolean_intervals_are_spheres(seed):
+    # the shortcut of betti_table: k generators below m, each holding a
+    # private variable, leave the proper subsets of k vertices below m
+    I = random_sqf_ideal(random.Random(seed), max_vars=9, max_gens=9)
+    table = betti_table(I)
+    for m, k in boolean_intervals(I):
+        for field in COLLAPSE_FIELDS:
+            assert homology_below(I, m, field) == {k - 2: 1}
+            assert taylor_homology(I, m, field) == {k - 2: 1}
+        assert [i for i, m2 in table.multigraded if m2 == m] == [k]
 
 
 @pytest.fixture

@@ -12,7 +12,8 @@ from sqfbetti import (
     parse_ideal_text,
 )
 from sqfbetti.errors import NotInLattice, SizeLimitExceeded
-from sqfbetti.lattice import in_lattice
+from sqfbetti import lattice
+from sqfbetti.lattice import complementary, in_lattice
 
 from conftest import mk, random_sqf_ideal
 
@@ -182,14 +183,57 @@ def test_gcd_in_ideal_is_not_complement(path3):
 
 def test_enumerate_complements_ordering(triangle_tail):
     vars = triangle_tail.vars
-    lat = build_lattice(triangle_tail)
     xyz = SqfMonomial.from_names(vars, ["x", "y", "z"])
-    comps = enumerate_complements(triangle_tail, xyz, lat)
+    comps = enumerate_complements(triangle_tail, xyz)
     assert comps
     keys = [c.sort_key() for c in comps]
     assert keys == sorted(keys)
     for c in comps:
         assert is_lattice_complement(triangle_tail, xyz, c)
+
+
+def complements_by_filter(I, m):
+    """The complements of m by building the lattice and filtering it."""
+    return [m2 for m2 in build_lattice(I).elements if complementary(I, m, m2)]
+
+
+def test_complements_match_the_lattice_filter():
+    rng = random.Random(29)
+    ideals = [random_sqf_ideal(rng, max_vars=8, max_gens=8) for _ in range(200)]
+    for I in ideals:
+        for m in build_lattice(I).elements:
+            assert enumerate_complements(I, m) == complements_by_filter(I, m), (I, m)
+
+
+def test_complements_of_a_generator_need_no_lattice():
+    # the 24/36 edge ideal of test_complement_does_not_build_the_lattice:
+    # a complement of an edge holds the other 22 variables and at most
+    # one end of the edge, so only 3 sets are searched
+    pairs = list(itertools.combinations(range(24), 2))
+    edges = random.Random(0).sample(pairs, 36)
+    I = parse_ideal_text("\n".join(f"x{u} x{v}" for u, v in edges))
+    m = I.gens[0]
+    comps = enumerate_complements(I, m)
+    assert len(comps) == 3
+    rest = I.vars.full_mask & ~m.mask
+    assert {c.mask & m.mask for c in comps} == {0} | {1 << k for k in m.indices()}
+    assert all(c.mask & rest == rest for c in comps)
+
+
+def test_complement_search_cap_carries_the_complements_found(monkeypatch):
+    # three disjoint edges of the 12-cycle: every set T of their variables
+    # that holds no edge, 3^3 of them, gives a complement
+    I = parse_ideal_text("\n".join(f"x{i} x{(i + 1) % 12}" for i in range(12)))
+    m = SqfMonomial.from_names(I.vars, ["x0", "x1", "x4", "x5", "x8", "x9"])
+    every = enumerate_complements(I, m)
+    assert len(every) == 27
+    monkeypatch.setattr(lattice, "DEFAULT_LATTICE_CAP", 10)
+    with pytest.raises(SizeLimitExceeded) as e:
+        enumerate_complements(I, m)
+    partial = e.value.partial
+    assert len(partial) == 10 and set(partial) <= set(every)
+    keys = [c.sort_key() for c in partial]
+    assert keys == sorted(keys)
 
 
 def test_complement_symmetry_on_randoms():
