@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import compress, islice
 from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
-from .core import MonomialIdeal, SqfMonomial, _indices_of, mask_sort_key
+from .core import MonomialIdeal, SqfMonomial, mask_sort_key
 from .errors import OutOfRange, ParseError, SizeLimitExceeded
 from .homology import (
     DEFAULT_FACE_CAP,
@@ -13,7 +15,7 @@ from .homology import (
     _rows_homology,
     homology_below,
 )
-from .lattice import DEFAULT_LATTICE_CAP, build_lattice, in_lattice
+from .lattice import DEFAULT_LATTICE_CAP, _lattice_masks, in_lattice
 
 
 class BettiTable:
@@ -24,12 +26,13 @@ class BettiTable:
     deg m = j.  t maps a in 1..pd to max{j : graded[(a, j)] > 0}.
 
     nonzero(i) lists the multidegrees m with beta_{i,m} != 0 in lattice
-    order.  betti_table hands the lists in as it walks the lattice; for
-    a table built from a bare dict they are made on first use, with one
-    sort.  The complement witness search keeps its per-degree bitset
-    index in ``_witness_index`` (see search_complement_witnesses).  Both
-    are built once per table and never rebuilt, so a table must not be
-    changed once built.
+    order, and format_betti_json writes from those lists.  betti_table
+    hands them in as it walks the lattice; for a table built from a bare
+    dict they are made on first use, with one sort.  The complement
+    witness search keeps its per-degree bitset index in
+    ``_witness_index`` (see search_complement_witnesses).  Both are built
+    once per table and never rebuilt, so a table must not be changed
+    once built.
     """
 
     __slots__ = (
@@ -65,15 +68,9 @@ class BettiTable:
     def nonzero(self, i: int) -> list[SqfMonomial]:
         """The m with beta_{i,m} != 0, in lattice order (do not mutate)."""
         if self._nonzero is None:
-            by_degree: dict[int, list[SqfMonomial]] = {}
-            keyed = sorted(
-                (mask_sort_key(m.mask), d, m)
-                for (d, m), rank in self.multigraded.items()
-                if rank
+            self._nonzero = _by_degree(
+                key for key, rank in self.multigraded.items() if rank
             )
-            for _, d, m in keyed:
-                by_degree.setdefault(d, []).append(m)
-            self._nonzero = by_degree
         return self._nonzero.get(i, [])
 
     def totals(self) -> tuple[int, ...]:
@@ -88,6 +85,16 @@ class BettiTable:
             f"BettiTable(pd={self.pd}, totals={self.totals()}, "
             f"field={self.field.label})"
         )
+
+
+def _by_degree(
+    keys: Iterable[tuple[int, SqfMonomial]],
+) -> dict[int, list[SqfMonomial]]:
+    """The m of the (i, m) keys, listed per i in the canonical order."""
+    by_degree: dict[int, list[SqfMonomial]] = {}
+    for _, i, m in sorted((mask_sort_key(m.mask), i, m) for i, m in keys):
+        by_degree.setdefault(i, []).append(m)
+    return by_degree
 
 
 def multigraded_betti(
@@ -126,26 +133,27 @@ def betti_table(
 
     Only lattice elements can carry nonzero multigraded ranks, so the
     iteration is over LCM(I) rather than all 2^n square-free monomials.
-    An element m whose generators below it are exactly its lattice
-    witness, k of them, is a Boolean interval and runs no collapse: the
-    witness is a shortest tuple joining to m, so each of its generators
-    holds a variable that no other one holds, or the tuple without it
-    would join to m too.  A set of them then joins to m iff it holds all
-    k, and the faces below m are the proper subsets of k vertices: a
-    (k-2)-sphere, or {empty face} for k = 1, so beta_(k, m) = 1 over
-    every field and no other degree is nonzero.  face_cap bounds
-    the faces built for one multidegree: those of the complex that
+    The walk is over the masks of the lattice search, in the canonical
+    order, and makes a SqfMonomial only for a multidegree it records,
+    one with a nonzero Betti number.  An element m whose generators
+    below it are exactly its lattice witness, k of them, is a Boolean
+    interval and runs no collapse: the witness is a shortest tuple
+    joining to m, so each of its generators holds a variable that no
+    other one holds, or the tuple without it would join to m too.  A set
+    of them then joins to m iff it holds all k, and the faces below m
+    are the proper subsets of k vertices: a (k-2)-sphere, or {empty
+    face} for k = 1, so beta_(k, m) = 1 over every field and no other
+    degree is nonzero.  face_cap bounds the faces built for one
+    multidegree: those of the complex that
     homology_below grows after collapsing, on the Taylor rows or on
     their Stanley-Reisner complex, whichever bounds fewer faces (see the
     homology module docstring).  If a complex exceeds it, the
     SizeLimitExceeded carries the multigraded entries (i, m) -> rank of
     the multidegrees finished before it.
     """
-    lat = build_lattice(I, cap=lattice_cap)
     masks = [g.mask for g in I.gens]
-    witness = lat.witness
-    elements = iter(lat.elements)
-    one = next(elements)  # the bottom, 1
+    elements, witness = _lattice_masks(masks, lattice_cap)
+    one = SqfMonomial()  # the bottom, elements[0]
     multigraded = {(0, one): 1}
     graded = {(0, 0): 1}
     nonzero: dict[int, list[SqfMonomial]] = {0: [one]}
@@ -153,8 +161,7 @@ def betti_table(
     # least degree of beta_i rises strictly with i, so t's keys come in
     # increasing order
     t: dict[int, int] = {}
-    for m in elements:
-        top = m.mask
+    for top in islice(elements, 1, None):
         rows = [top & ~g for g in masks if g | top == top]
         k = len(witness[top])
         if len(rows) == k:
@@ -167,7 +174,10 @@ def betti_table(
                 homology = _rows_homology(rows, field.p, face_cap).items()
             except SizeLimitExceeded as e:
                 raise SizeLimitExceeded(str(e), partial=multigraded) from None
-        j = m.degree
+            if not homology:
+                continue
+        m = SqfMonomial(top)
+        j = top.bit_count()
         for d, rank in homology:
             i = d + 2
             multigraded[(i, m)] = rank
@@ -254,6 +264,10 @@ def _int(tok: str) -> int:
         raise ParseError(f"not an integer: {tok!r}") from None
 
 
+# a mask's binary digits from bit 0 up, as the 0/1 flags of itertools.compress
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _array(items: list[str], indent: str) -> str:
     """A JSON array of encoded items, its closing bracket at indent."""
     if not items:
@@ -274,26 +288,33 @@ def format_betti_json(table: BettiTable) -> str:
     mapping str(a) to t_a with the keys sorted as strings (so "10"
     before "2"); ``totals``; and ``variables``, the variable names in
     table order.  The text is written from fixed templates: each name is
-    encoded once per table, each multidegree's name array once per mask.
+    encoded once per table, each multidegree's name array once per mask,
+    by itertools.compress over the mask's bits.  The multigraded entries
+    are read per degree from nonzero(i), which is in the canonical order
+    already; only a table built from a bare dict with rank-0 entries,
+    which nonzero(i) leaves out, has its entries sorted here.
     """
     names = [encode_basestring_ascii(v) for v in table.ideal.vars.names]
-    arrays: dict[int, tuple] = {}  # mask -> (canonical sort key, name array)
-    entries = []
-    for (i, m), rank in table.multigraded.items():
-        known = arrays.get(m.mask)
-        if known is None:
-            indices = _indices_of(m.mask)
-            known = arrays[m.mask] = (
-                (len(indices), indices),
-                _array([names[k] for k in indices], "      "),
+    multigraded = table.multigraded
+    table.nonzero(0)  # makes the lists of a table built from a bare dict
+    lists = table._nonzero
+    if sum(map(len, lists.values())) != len(multigraded):
+        # rank-0 entries, which a bare dict may hold and nonzero leaves out
+        lists = _by_degree(multigraded)
+    arrays: dict[int, str] = {}  # mask -> name array
+    multi = []
+    for i in sorted(lists):
+        for m in lists[i]:
+            monomial = arrays.get(m.mask)
+            if monomial is None:
+                flags = bin(m.mask)[:1:-1].encode().translate(_BIT_FLAGS)
+                monomial = arrays[m.mask] = _array(
+                    list(compress(names, flags)), "      "
+                )
+            multi.append(
+                f'{{\n      "i": {i},\n      "monomial": {monomial},\n'
+                f'      "rank": {multigraded[(i, m)]}\n    }}'
             )
-        entries.append((i, known[0], rank, known[1]))
-    entries.sort()
-    multi = [
-        f'{{\n      "i": {i},\n      "monomial": {monomial},\n'
-        f'      "rank": {rank}\n    }}'
-        for i, _, rank, monomial in entries
-    ]
     graded = [
         f'{{\n      "i": {i},\n      "j": {j},\n      "rank": {rank}\n    }}'
         for (i, j), rank in sorted(table.graded.items())

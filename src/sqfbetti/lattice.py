@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import MonomialIdeal, SqfMonomial, mask_sort_key
 from .errors import NotInLattice, SizeLimitExceeded
@@ -13,9 +13,12 @@ DEFAULT_LATTICE_CAP = 2**20
 class LcmLattice:
     """All lcms of generator subsets, ordered by divisibility.
 
-    ``elements`` is sorted by (degree, index tuple) with bottom 1 first
-    and the top lcm last.  ``witness`` maps each element's mask to one
-    generator subset realizing it, and so answers membership.
+    ``elements`` is sorted by (degree, index tuple), the order of
+    mask_sort_key, with bottom 1 first and the top lcm last; the search
+    sorts a key that each element carries through the joins instead of
+    calling mask_sort_key (see build_lattice).  ``witness`` maps each
+    element's mask to one generator subset realizing it, and so answers
+    membership.
     """
 
     __slots__ = ("ideal", "elements", "witness")
@@ -23,7 +26,7 @@ class LcmLattice:
     def __init__(
         self,
         ideal: MonomialIdeal,
-        elements: Sequence[SqfMonomial],
+        elements: Iterable[SqfMonomial],
         witness: dict[int, tuple[int, ...]],
     ):
         self.ideal = ideal
@@ -47,7 +50,36 @@ class LcmLattice:
 
 
 def build_lattice(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLattice:
+    """The lcm lattice of I, from the one mask search, _lattice_masks.
+
+    Each element is found with its canonical sort key, the int
+    ((degree << w | (2^w - 1 - rev)) << w) | mask, where rev is the mask
+    with its bits reversed in w bits (w a whole number of bytes) and the
+    mirror of a join m | g is rev(m) | rev(g).  At equal degree the
+    larger mirror holds the lowest differing bit, so its mask sorts
+    first, as under mask_sort_key, and one plain sort of the keys is the
+    canonical order.  Only this wrapper makes SqfMonomials, for the
+    lattice subcommand, the demos and the tests; betti_table walks the
+    masks.
+
+    Raises SizeLimitExceeded (with the elements found so far attached)
+    as soon as the element count exceeds cap.
+    """
+    masks, witness = _lattice_masks([g.mask for g in I.gens], cap)
+    return LcmLattice(I, map(SqfMonomial, masks), witness)
+
+
+# each byte with its bits reversed, for the mirrors of _lattice_masks
+_REVERSE_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _lattice_masks(
+    gen_masks: Sequence[int], cap: int
+) -> tuple[list[int], dict[int, tuple[int, ...]]]:
     """Saturate {1} u gens under joins with single generators.
+
+    Returns the element masks in the canonical order of mask_sort_key
+    and the witness map, mask -> generator index tuple.
 
     The search runs level by level; an element found first from p by
     joining g_t gets the witness w(p) + (t,).  Each element joins only
@@ -70,29 +102,56 @@ def build_lattice(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLattic
     for m.  Hence m's witness is W(m), and level k + 1 comes out in
     increasing order of W.
 
-    Raises SizeLimitExceeded (with the elements found so far attached)
-    as soon as the element count exceeds cap.
+    That is not the canonical order, so each element carries its sort
+    key.  The mirror of a mask is its bits reversed in a fixed width w
+    of whole bytes, bit k going to bit w - 1 - k; it is made once per
+    generator, and the mirror of a join m | g is rev(m) | rev(g).  The
+    key is the int ((degree << w | (2^w - 1 - rev)) << w) | mask.  At
+    equal degree the highest bit where two mirrors differ is the lowest
+    bit where the masks differ, so the mask holding it has the larger
+    mirror and the smaller key, as its smaller index puts it first under
+    mask_sort_key.  The mirror is one to one, so the mask in the low w
+    bits never decides, and is read back from there.  One plain sort of
+    the keys is then the canonical order.
+
+    Raises SizeLimitExceeded (with the elements found so far attached,
+    as monomials in the canonical order) as soon as the element count
+    exceeds cap.
     """
+    top = 0
+    for g in gen_masks:
+        top |= g
+    nbytes = max(1, -(-top.bit_length() // 8))
+    w = 8 * nbytes
+    ones = (1 << w) - 1
+    mirrors = [
+        int.from_bytes(g.to_bytes(nbytes, "little").translate(_REVERSE_BITS), "big")
+        for g in gen_masks
+    ]
+    gens = list(enumerate(gen_masks))
     witness: dict[int, tuple[int, ...]] = {0: ()}
-    gen_masks = [g.mask for g in I.gens]
-    # (element, the first generator index after its witness)
-    frontier = [(0, 0)]
+    keys = [ones << w]
+    # (element, its mirror, the first generator index after its witness)
+    frontier = [(0, 0, 0)]
     while frontier:
         fresh = []
-        for m, start in frontier:
-            w = witness[m]
-            for gi, g in enumerate(gen_masks[start:], start):
+        for m, rm, start in frontier:
+            wm = witness[m]
+            for gi, g in gens[start:]:
                 j = m | g
                 if j not in witness:
-                    witness[j] = w + (gi,)
-                    fresh.append((j, gi + 1))
+                    witness[j] = wm + (gi,)
+                    rj = rm | mirrors[gi]
+                    keys.append(((j.bit_count() << w | (ones ^ rj)) << w) | j)
+                    fresh.append((j, rj, gi + 1))
                     if len(witness) > cap:
                         raise SizeLimitExceeded(
                             f"lcm lattice exceeds cap {cap}",
                             partial=_in_order(witness),
                         )
         frontier = fresh
-    return LcmLattice(I, _in_order(witness), witness)
+    keys.sort()
+    return [k & ones for k in keys], witness
 
 
 def _in_order(masks) -> list[SqfMonomial]:

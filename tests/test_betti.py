@@ -317,6 +317,30 @@ def test_json_writer_ignores_table_insertion_order(triangle_tail_table):
     assert_stdlib_json(reverse)
 
 
+def test_json_writer_keeps_bare_dict_tables(three_brooms, three_brooms_table):
+    # tables built from bare dicts: the entries in reversed insertion
+    # order, and with rank-0 entries, which nonzero(i) leaves out but
+    # the text keeps; one sits among degree 2's entries, one is alone in
+    # a degree past pd
+    table = three_brooms_table
+    items = list(reversed(table.multigraded.items()))
+    reverse = BettiTable(
+        table.ideal, table.field, dict(items), table.graded, table.pd, table.t
+    )
+    zero = next(
+        m for m in build_lattice(three_brooms) if (2, m) not in table.multigraded
+    )
+    items.insert(len(items) // 2, ((2, zero), 0))
+    items.append(((table.pd + 1, three_brooms.top()), 0))
+    with_zeros = BettiTable(
+        table.ideal, table.field, dict(items), table.graded, table.pd, table.t
+    )
+    assert with_zeros.nonzero(2) == reverse.nonzero(2)
+    for bare in (reverse, with_zeros):
+        assert_stdlib_json(bare)
+    assert '"rank": 0' in format_betti_json(with_zeros)
+
+
 def test_json_writer_sorts_t_keys_as_strings():
     # 11 variables, each a generator: pd 11 and a lattice of 2 048 elements
     table = betti_table(parse_ideal_text("\n".join("abcdefghijk")))

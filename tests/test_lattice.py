@@ -135,6 +135,45 @@ def test_build_lattice_matches_the_all_generator_search(three_brooms, star_clust
         assert e.value.partial == all_generator_lattice(I, cap)[1], I
 
 
+def spread_ideal(rng, n, q, size, wide=False):
+    """An ideal of q random generators with sizes drawn from size, on n variables.
+
+    Each variable goes to one generator first; a draw where one generator
+    divides another would lose variables to minimality, and is redrawn.
+    """
+    while True:
+        supports = [set(rng.sample(range(n), rng.choice(size))) for _ in range(q)]
+        for v in range(n):
+            rng.choice(supports).add(v)
+        if not any(a < b for a in supports for b in supports):
+            text = "\n".join(" ".join(f"x{v}" for v in sorted(s)) for s in supports)
+            return parse_ideal_text(text, wide=wide)
+
+
+def test_lattice_order_across_byte_widths():
+    # the sort key of the lattice search mirrors each mask in whole bytes:
+    # 9-16 variables take 2 bytes, 17-24 take 3, over 64 take 9; the
+    # oracle orders by SqfMonomial.__lt__
+    rng = random.Random(31)
+    ideals = [
+        spread_ideal(rng, n, rng.randint(2, 9), (2, 3, 4, 5))
+        for n in range(9, 25)
+        for _ in range(6)
+    ]
+    ideals.append(spread_ideal(rng, 70, 6, (14, 15, 16), wide=True))
+    widths = {-(-len(I.vars) // 8) for I in ideals}
+    assert {2, 3, 9} <= widths
+    for I in ideals:
+        elements, witness = all_generator_lattice(I, cap=10**6)
+        lat = build_lattice(I)
+        assert list(lat.elements) == elements, I
+        assert lat.witness == witness, I
+        cap = len(elements) // 2
+        with pytest.raises(SizeLimitExceeded) as e:
+            build_lattice(I, cap=cap)
+        assert e.value.partial == all_generator_lattice(I, cap)[1], I
+
+
 def test_complement_requires_lattice_membership(path3):
     xz = SqfMonomial.from_names(path3.vars, ["x", "z"])
     top = path3.top()
