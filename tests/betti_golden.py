@@ -1,6 +1,6 @@
 """Pinned Betti tables of the benchmark's seed-1 random ideals.
 
-tests/betti_golden.json holds, for each field, the sha256 of every
+tests/betti_golden.json holds, for QQ, GF(2) and GF(3), the sha256 of every
 ``betti_table`` of ``perfbench/inputs.random_ideals(1)``: of the
 multigraded (i, mask, rank) triples in insertion order, of ``graded``
 and ``t`` in insertion order, and of ``pd``.  So it pins the tables
@@ -28,7 +28,7 @@ from sqfbetti import FieldSpec, betti_table, parse_ideal_text
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "betti_golden.json"
 SEED = 1
-FIELDS = {"QQ": FieldSpec(None), "GF(2)": FieldSpec(2)}
+FIELDS = {"QQ": FieldSpec(None), "GF(2)": FieldSpec(2), "GF(3)": FieldSpec(3)}
 
 
 def load_inputs():

@@ -352,8 +352,8 @@ def test_json_writer_sorts_t_keys_as_strings():
 
 
 def test_tables_match_the_pinned_digests():
-    # every table of the benchmark's seed-1 random ideals over QQ and
-    # GF(2), entry for entry and in insertion order (tests/betti_golden.py)
+    # every table of the benchmark's seed-1 random ideals over QQ, GF(2)
+    # and GF(3), entry for entry and in insertion order (tests/betti_golden.py)
     import betti_golden
 
     pinned = json.loads(betti_golden.GOLDEN.read_text())
