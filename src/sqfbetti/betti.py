@@ -106,8 +106,8 @@ def multigraded_betti(
 ) -> int:
     """beta_{i,m}(S/I): reduced homology of the Taylor faces below m.
 
-    The ranks come from homology_below, so face_cap counts the faces of
-    the collapsed complex.
+    The ranks come from homology_below, so face_cap counts the faces
+    grown for the collapsed complex, none for a graph remainder.
 
     Zero whenever m is not a join of generators (equivalently, not an
     lcm-lattice element): only those multidegrees carry Betti numbers,
@@ -143,13 +143,14 @@ def betti_table(
     of them then joins to m iff it holds all k, and the faces below m
     are the proper subsets of k vertices: a (k-2)-sphere, or {empty
     face} for k = 1, so beta_(k, m) = 1 over every field and no other
-    degree is nonzero.  face_cap bounds the faces built for one
-    multidegree: those of the complex that
-    homology_below grows after collapsing, on the Taylor rows or on
-    their Stanley-Reisner complex, whichever bounds fewer faces (see the
-    homology module docstring).  If a complex exceeds it, the
-    SizeLimitExceeded carries the multigraded entries (i, m) -> rank of
-    the multidegrees finished before it.
+    degree is nonzero.  face_cap bounds the faces actually grown for
+    one multidegree: those of the complex that homology_below grows
+    after collapsing, on the Taylor rows or on their Stanley-Reisner
+    complex, whichever bounds fewer faces.  A remainder with no variable
+    in three rows is read as a graph and grows none, so it never
+    reaches the cap (see the homology module docstring).  If a complex
+    exceeds it, the SizeLimitExceeded carries the multigraded entries
+    (i, m) -> rank of the multidegrees finished before it.
     """
     masks = [g.mask for g in I.gens]
     elements, witness = _lattice_masks(masks, lattice_cap)

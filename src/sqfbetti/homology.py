@@ -44,9 +44,24 @@ linear algebra is left (a collapse in the spirit of discrete Morse
 theory for the Taylor resolution, Batzies-Welker, "Discrete Morse
 theory for cellular resolutions", 2002).
 
-A remainder of two or more rows is grown in one of two ways.  Grown on
-its rows, it can have up to 2^rows faces.  Its union of simplices is
-the nerve of the simplices on the rows, so by the nerve lemma it is
+A remainder of two or more rows in which no variable lies in three rows
+is a graph, and its homology is read off with no face grown and nothing
+eliminated.  Every D_x then has one or two vertices, so the faces are
+the empty face, the rows, all nonzero, and the pairs of rows that share
+a variable.  _collapse returns two or more rows only when rule A no
+longer fires, and then the variable columns (the set of rows holding
+each variable) are distinct and none contains another.  So no two
+variables are held by the same pair of rows: each variable held by two
+rows is one edge, and no edge repeats.  A row that shares no variable
+with another holds exactly one, since two private variables would have
+equal columns: it is an isolated vertex.  A graph with V vertices, E
+edges and c components has h_0 = c - 1 and h_1 = E - V + c over every
+field.  Rows of two variables each around an n-cycle, n >= 4, are such
+a graph, a circle.
+
+Any other remainder is grown in one of two ways.  Grown on its rows,
+it can have up to 2^rows faces.  Its union of simplices is the nerve
+of the simplices on the rows, so by the nerve lemma it is
 homotopy equivalent to the complex L that the rows generate over their
 variables U, and L is Alexander dual to the Stanley-Reisner complex
 D' = {F in U : F contains U minus r_a for no row a}, the complex of
@@ -58,8 +73,7 @@ most 1 + sum_x (2^c_x - 1) with c_x the rows holding x, and D' has at
 most 2^|U| faces.  A remainder is grown as D', each variable carrying
 the masks U minus r_a it would complete, iff its bound is the smaller.
 On the 12-cycle's top the bounds are 12277 and 4096, and D' has 322
-faces against 3774 on the rows; rows of two variables each around an
-n-cycle, n >= 4, bound 3n + 1 against 2^n and are grown on the rows.
+faces against 3774 on the rows.
 
 What is left, and the uncollapsed complexes of taylor_faces_below, are
 eliminated exactly.  Each boundary map is built as sparse columns of
@@ -322,16 +336,51 @@ def _rows_homology(rows: list[int], p: int | None, cap: int) -> dict[int, int]:
     rows are the r_g = m minus g of the generators g | m, for some
     m != 1; two or more of them form an antichain of distinct nonzero
     masks, since r_a is in r_b iff g_b | g_a.  _collapse runs the three
-    rules of the module docstring, and _finish grows and eliminates
-    only what is left, on the Taylor rows or on their Stanley-Reisner
-    complex, whichever bounds fewer faces; cap counts the faces of
-    whichever complex is built.
+    rules of the module docstring.  A remainder with no variable in
+    three rows is a graph, read off by _graph_homology; _finish grows
+    and eliminates any other remainder, on the Taylor rows or on their
+    Stanley-Reisner complex, whichever bounds fewer faces.  cap counts
+    the faces actually grown, so a graph remainder, which grows none,
+    never reaches it.
     """
     rows, shift = _collapse(rows)
     if len(rows) < 2:
         # {empty face} when the row is 0 or there is none, else a cone
         return {shift - 1: 1} if not rows or not rows[0] else {}
-    return {d + shift: h for d, h in _finish(rows, p, cap).items()}
+    homology = _graph_homology(rows)
+    if homology is None:
+        homology = _finish(rows, p, cap)
+    return {d + shift: h for d, h in homology.items()}
+
+
+def _graph_homology(rows: Sequence[int]) -> dict[int, int] | None:
+    """Nonzero reduced homology {d: h_d} of a remainder that is a graph.
+
+    rows are two or more rows left by _collapse.  None if a variable lies
+    in three of them; otherwise the union of the D_x is the graph whose
+    vertices are the rows and whose edges are the variables held by two
+    rows, one edge each (see the module docstring), so h_0 = components
+    - 1 and h_1 = edges - rows + components over every field.
+    """
+    once = twice = 0  # the variables held by at least one row, by two
+    for r in rows:
+        if twice & r:
+            return None
+        twice |= once & r
+        once |= r
+    parts: list[int] = []  # the variables of each component of the rows so far
+    for r in rows:
+        joined, apart = r, []
+        for c in parts:
+            if c & r:
+                joined |= c
+            else:
+                apart.append(c)
+        apart.append(joined)
+        parts = apart
+    components = len(parts)
+    homology = {0: components - 1, 1: twice.bit_count() - len(rows) + components}
+    return {d: h for d, h in homology.items() if h}
 
 
 def _collapse(rows: list[int]) -> tuple[list[int], int]:

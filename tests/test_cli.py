@@ -544,15 +544,28 @@ def test_lattice_and_subadd_goldens_reproduce(capsys):
 
 
 def test_bouquets_subadd_honours_the_table_caps(capsys, monkeypatch):
-    argv = ["bouquets", "--check", "a*x,a*y;b*z,b*v,b*w;c*u,c*g", "--subadd", "0"]
+    # star_cluster's third remainder has a variable in three rows, so its
+    # faces are grown and the face cap is reached
+    argv = ["bouquets", "--check", "f*g,e*g,g*h,g*i,g*x,g*y;a*b*c,b*c*d", "--subadd", "0"]
     for caps in (["--face-cap", "1", "--lattice-cap", "2"], ["--face-cap", "1"]):
-        code, out, err = run(capsys, *argv, *caps, "--gens", GENS_B)
+        code, out, err = run(capsys, *argv, *caps, "--gens", GENS_STAR)
         assert (code, out) == (2, "")
         assert "partial:" in err
+    assert run(capsys, *argv, "--gens", GENS_STAR)[0] == 0
     monkeypatch.setenv("SQFBETTI_LATTICE_CAP", "2")
-    code, out, err = run(capsys, *argv, "--gens", GENS_B)
+    code, out, err = run(capsys, *argv, "--gens", GENS_STAR)
     assert (code, out) == (2, "")
     assert "lcm lattice exceeds cap 2" in err
+
+
+def test_face_cap_spares_graph_remainders(capsys):
+    # the 4-cycle's top leaves its four edges, a graph: its homology is
+    # read off the graph and no face is grown, so a face cap of 1 is
+    # never reached and the full table comes out
+    argv = ["betti", "--gens", "x y, y z, z w, w x"]
+    full = run(capsys, *argv)
+    assert full[0] == 0 and "total: 1 4 4 1" in full[1]
+    assert run(capsys, *argv, "--face-cap", "1") == full
 
 
 def test_exit_codes(capsys, monkeypatch):

@@ -484,11 +484,12 @@ def eliminated(monkeypatch):
     """What reaches a face grower: (rows as sorted masks, path, faces).
 
     The path is "taylor" for _grow_faces and "dual" for the
-    Stanley-Reisner grower.  taylor_faces_below grows its faces in
+    Stanley-Reisner grower; a remainder read as a graph is recorded as
+    "graph", with 0 faces.  taylor_faces_below grows its faces in
     _grow_faces too, so a test reads this before it calls the oracle.
     """
     calls = []
-    grow, grow_dual = homology._grow_faces, homology._grow_dual
+    grow, grow_dual, graph = homology._grow_faces, homology._grow_dual, homology._graph_homology
 
     def recording(rows, cap):
         layers = grow(rows, cap)
@@ -500,8 +501,15 @@ def eliminated(monkeypatch):
         calls.append((tuple(sorted(rows)), "dual", sum(map(len, layers))))
         return layers
 
+    def recording_graph(rows):
+        found = graph(rows)
+        if found is not None:
+            calls.append((tuple(sorted(rows)), "graph", 0))
+        return found
+
     monkeypatch.setattr(homology, "_grow_faces", recording)
     monkeypatch.setattr(homology, "_grow_dual", recording_dual)
+    monkeypatch.setattr(homology, "_graph_homology", recording_graph)
     return calls
 
 
@@ -639,24 +647,27 @@ def test_many_small_rows_stay_on_the_rows(n, eliminated):
     # generators x_U / (x_i x_(i+1)) around an n-cycle: at the top the
     # rows are the n edges, and no rule fires.  Their faces form the
     # cycle itself, 1 + n + n of them (bound 3n + 1), while D' holds
-    # every non-face of the cycle, 2^n - 2n - 1 (bound 2^n)
+    # every non-face of the cycle, 2^n - 2n - 1 (bound 2^n).  No variable
+    # lies in three rows, so the rows are read as the graph and grow none
     U = [f"x{i}" for i in range(n)]
     I = parse_ideal_text(
         "\n".join(" ".join(U[:i] + U[i + 2 :] if i < n - 1 else U[1:-1]) for i in range(n))
     )
     table = betti_table(I)
     rows = tuple(sorted(rows_below(I, I.top())))
-    assert eliminated == [(rows, "taylor", 2 * n + 1)]
+    assert eliminated == [(rows, "graph", 0)]
     assert homology_below(I, I.top()) == {1: 1} == taylor_homology(I, I.top(), RATIONALS)
     assert table.multigraded[(3, I.top())] == 1
 
 
 # the remainders the collapse leaves in whole tables, as sorted tuples
 # of variable masks, with the path each takes and the faces it grows,
-# which are what face_cap counts; star_cluster leaves three remainders
+# which are what face_cap counts; a remainder with no variable in three
+# rows is read as a graph and grows none.  star_cluster leaves three
+# remainders
 P, Q, R = (
-    ((16, 64, 256), "taylor", 4),
-    ((64, 128, 256), "taylor", 4),
+    ((16, 64, 256), "graph", 0),
+    ((64, 128, 256), "graph", 0),
     ((80, 144, 192, 272, 384), "dual", 6),
 )
 # edge ideal of a random graph on 10 vertices, as in perfbench/inputs.py
@@ -666,9 +677,9 @@ GRAPH10 = (
 )
 # graph10 leaves the most remainders of the benchmark's ideals, seven distinct
 A, B, C, D, E, F, G = (
-    ((1, 2, 8), "taylor", 4),
-    ((5, 9, 20, 24), "taylor", 9),
-    ((80, 144, 320, 384), "taylor", 9),
+    ((1, 2, 8), "graph", 0),
+    ((5, 9, 20, 24), "graph", 0),
+    ((80, 144, 320, 384), "graph", 0),
     ((7, 11, 21, 22, 26, 28), "dual", 10),
     ((91, 155, 331, 395, 451, 465, 466, 472), "dual", 26),
     ((93, 157, 333, 397, 453, 457, 468, 472), "dual", 29),
@@ -685,14 +696,14 @@ REMAINDERS = {
             322,
         )
     ],
-    "three_brooms": [((1, 4, 16), "taylor", 4)] * 4,
+    "three_brooms": [((1, 4, 16), "graph", 0)] * 4,
     "rp2_6": [
-        ((3, 5, 10, 20, 24), "taylor", 11),
-        ((3, 6, 9, 36, 40), "taylor", 11),
-        ((5, 6, 17, 34, 48), "taylor", 11),
-        ((9, 10, 18, 33, 48), "taylor", 11),
-        ((12, 17, 20, 33, 40), "taylor", 11),
-        ((12, 18, 24, 34, 36), "taylor", 11),
+        ((3, 5, 10, 20, 24), "graph", 0),
+        ((3, 6, 9, 36, 40), "graph", 0),
+        ((5, 6, 17, 34, 48), "graph", 0),
+        ((9, 10, 18, 33, 48), "graph", 0),
+        ((12, 17, 20, 33, 40), "graph", 0),
+        ((12, 18, 24, 34, 36), "graph", 0),
         ((13, 14, 19, 22, 25, 35, 37, 42, 52, 56), "dual", 32),
     ],
 }
@@ -717,3 +728,113 @@ def test_collapse_remainders_are_pinned(name, eliminated, star_cluster, three_br
     assert remainders == [rows for rows, _, _ in REMAINDERS[name]]
     betti_table(I)
     assert eliminated == REMAINDERS[name]
+
+
+def graph_remainders(ideals):
+    """Each remainder _collapse leaves with no variable in three rows."""
+    for I in ideals:
+        for m in build_lattice(I).elements[1:]:
+            rows, _ = homology._collapse(rows_below(I, m))
+            if len(rows) > 1 and homology._graph_homology(rows) is not None:
+                yield rows
+
+
+# graph remainders of inputs.FIXED and random_ideals(1..3), counted once
+# per lattice element
+GRAPH_REMAINDERS = 1250
+
+
+def test_graph_remainders_match_finish():
+    # the closed form against the face grower and elimination it replaces,
+    # on every graph remainder of the benchmark's ideals and of its
+    # random ideals at seeds 1 to 3
+    inputs = load_inputs()
+    ideals = [*inputs.FIXED.values()]
+    for seed in (1, 2, 3):
+        ideals += inputs.random_ideals(seed)
+    count = 0
+    for rows in graph_remainders(parse_ideal_text("\n".join(g)) for g in ideals):
+        count += 1
+        found = homology._graph_homology(rows)
+        for field in COLLAPSE_FIELDS:
+            assert found == homology._finish(rows, field.p, 2**20)
+    assert count == GRAPH_REMAINDERS
+
+
+def strip_leaves(n, edges):
+    """The edges left once every edge at a vertex of degree 1 is dropped."""
+    edges = set(edges)
+    while True:
+        degree = [0] * n
+        for a, b in edges:
+            degree[a] += 1
+            degree[b] += 1
+        leaves = {e for e in edges if degree[e[0]] == 1 or degree[e[1]] == 1}
+        if not leaves:
+            return sorted(edges)
+        edges -= leaves
+
+
+def graph_rows(n, edges):
+    """The rows of a simple graph on range(n), one per vertex.
+
+    Each edge is a fresh variable held by its two rows, and each isolated
+    row holds a private variable.
+    """
+    rows = [0] * n
+    for x, (a, b) in enumerate(edges):
+        rows[a] |= 1 << x
+        rows[b] |= 1 << x
+    private = len(edges)
+    for a in range(n):
+        if not rows[a]:
+            rows[a] = 1 << private
+            private += 1
+    return rows
+
+
+@st.composite
+def graphs(draw):
+    """A random simple graph on 3 to 9 vertices with no vertex of degree 1.
+
+    Its edges at vertices of degree 1 are dropped until none is left, so
+    that its rows form an antichain, as the rows of minimal generators do.
+    """
+    n = draw(st.integers(3, 9))
+    pairs = list(combinations(range(n), 2))
+    return n, strip_leaves(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+def components(n, edges):
+    """The number of connected components of a graph on range(n)."""
+    root = list(range(n))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for a, b in edges:
+        root[find(a)] = find(b)
+    return len({find(a) for a in range(n)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+@example((3, []))  # three isolated rows: h_0 = 2
+@example((6, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]))  # a pentagon and a point
+@example((7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]))  # two triangles and a point
+def test_graph_rows_match_taylor_homology(graph):
+    # _rows_homology on the rows of a graph, after its collapse, and the
+    # closed form on the graph itself, against the Taylor complex of the
+    # ideal whose rows below its top are these rows
+    n, edges = graph
+    rows = graph_rows(n, edges)
+    c = components(n, edges)
+    expect = {d: h for d, h in ((0, c - 1), (1, len(edges) - n + c)) if h}
+    I = ideal_of_rows(rows)
+    assert sorted(rows_below(I, I.top())) == sorted(rows)
+    assert homology._graph_homology(rows) == expect
+    for field in COLLAPSE_FIELDS:
+        assert homology._rows_homology(list(rows), field.p, 2**20) == expect
+        assert taylor_homology(I, I.top(), field) == expect
