@@ -33,6 +33,9 @@ from .lattice import complementary
 
 EXHAUSTIVE_THRESHOLD = 16
 
+# a candidate bouquet: (facets, root, union, twice), masks over the vertices
+_Candidate = tuple[tuple[int, ...], int, int, int]
+
 
 class Bouquet:
     """Facets sharing a nonempty root, each with a free vertex inside.
@@ -135,24 +138,42 @@ def is_bouquet(delta: SimplicialComplex, facets: Iterable) -> BouquetCheck:
         return BouquetCheck(False, reason="a bouquet needs at least one facet")
     if len(set(indices)) != len(indices):
         return BouquetCheck(False, reason="repeated facet")
-    masks = [delta.facets[i].mask for i in indices]
-    root = masks[0]
-    union = 0
-    for m in masks:
-        root &= m
-        union |= m
+    masks = [f.mask for f in delta.facets]
+    candidate = _candidate(masks, indices)
+    _, root, _, twice = candidate
     if not root:
         return BouquetCheck(False, reason="facets have empty common intersection")
-    witnesses = []
-    for k, free in enumerate(private_bits(masks)):
-        if not free:
-            name = format_monomial(delta.facets[indices[k]], delta.vars)
+    for k in indices:
+        if not masks[k] & ~twice:
+            name = format_monomial(delta.facets[k], delta.vars)
             return BouquetCheck(
                 False, reason=f"facet {name} has no free vertex in the bouquet"
             )
+    return BouquetCheck(True, bouquet=_bouquet(masks, candidate))
+
+
+def _candidate(masks: Sequence[int], subset: Sequence[int]) -> _Candidate:
+    """The record (facets, root, union, twice) of the given facets.
+
+    twice holds the vertices of two or more of them, so facet k's free
+    vertices are masks[k] & ~twice, as in core.private_bits.
+    """
+    common, once, twice = -1, 0, 0
+    for k in subset:
+        common &= masks[k]
+        twice |= once & masks[k]
+        once |= masks[k]
+    return tuple(subset), common, once, twice
+
+
+def _bouquet(masks: Sequence[int], candidate: _Candidate) -> Bouquet:
+    """The Bouquet of a record, each facet witnessed by its lowest free vertex."""
+    facets, root, union, twice = candidate
+    witnesses = []
+    for k in facets:
+        free = masks[k] & ~twice
         witnesses.append((free & -free).bit_length() - 1)
-    bouquet = Bouquet(indices, SqfMonomial(root), tuple(witnesses), union)
-    return BouquetCheck(True, bouquet=bouquet)
+    return Bouquet(facets, SqfMonomial(root), tuple(witnesses), union)
 
 
 def facet_distance(delta: SimplicialComplex, f, g) -> int | float:
@@ -252,17 +273,17 @@ def outside_condition(
     G minus Root(B), all of G minus Root(B) must lie inside F.
     """
     family = set()
+    wings = []
     for b in bouquets:
         family.update(b.facets)
+        wings.extend(delta.facets[gi].mask & ~b.root.mask for gi in b.facets)
     for fi, facet in enumerate(delta.facets):
         if fi in family:
             continue
         fmask = facet.mask
-        for b in bouquets:
-            for gi in b.facets:
-                wing = delta.facets[gi].mask & ~b.root.mask
-                if fmask & wing and wing | fmask != fmask:
-                    return False
+        for wing in wings:
+            if fmask & wing and wing & ~fmask:
+                return False
     return True
 
 
@@ -338,79 +359,104 @@ def build_bouquet_set(
 
 
 def _candidate_bouquets(
-    delta: SimplicialComplex, spend
-) -> list[tuple[tuple[int, ...], int]]:
-    """Facet subsets with a nonempty common intersection and free vertices.
+    masks: Sequence[int], full: int, spend
+) -> dict[int, list[_Candidate]]:
+    """Every bouquet on the facets masks, filed under its lowest vertex.
 
-    Nonempty intersection is inherited by subsets, so the DFS extends a
-    branch only while the running intersection stays nonempty.
+    The DFS adds facets in increasing index and spends one state per
+    bouquet.  A child only shrinks the root and only adds to twice, so a
+    branch is cut, with its whole subtree, at the first facet that
+    empties the root or leaves some facet without a free vertex
+    (masks[k] & ~twice == 0): no superset can be a bouquet again.  The
+    cut drops no bouquet, so each list keeps the DFS preorder.
     """
-    masks = [f.mask for f in delta.facets]
-    found: list[tuple[tuple[int, ...], int]] = []
-    _grow_bouquet(masks, spend, found, (), delta.vars.full_mask, 0, 0)
-    return found
+    by_low: dict[int, list[_Candidate]] = {}
+    _grow_bouquet(masks, spend, by_low, (), full, 0, 0, 0)
+    return by_low
 
 
 def _grow_bouquet(
     masks: Sequence[int],
     spend,
-    found: list[tuple[tuple[int, ...], int]],
+    by_low: dict[int, list[_Candidate]],
     subset: tuple[int, ...],
     common: int,
-    union: int,
+    once: int,
+    twice: int,
     start: int,
 ) -> None:
     spend()
-    if subset and all(private_bits([masks[k] for k in subset])):
-        found.append((subset, union))
+    if subset:
+        by_low.setdefault(once & -once, []).append((subset, common, once, twice))
     for nxt in range(start, len(masks)):
-        c = common & masks[nxt]
+        m = masks[nxt]
+        c = common & m
         if not c:
             continue
-        _grow_bouquet(
-            masks, spend, found, subset + (nxt,), c, union | masks[nxt], nxt + 1
-        )
-
-
-def _family_search(
-    delta: SimplicialComplex,
-    candidates: list[tuple[tuple[int, ...], int]],
-    spend,
-    emit,
-) -> None:
-    """Cover the vertices with pairwise disjoint candidate bouquets.
-
-    Branches on which candidate covers the lowest uncovered vertex, so
-    each family is reached exactly once.
-    """
-    _extend_family(candidates, delta.vars.full_mask, spend, emit, [], 0)
+        more = twice | (once & m)
+        if not m & ~more:
+            continue
+        # the old facets lose free vertices only where twice grew
+        if more != twice and not all(masks[k] & ~more for k in subset):
+            continue
+        _grow_bouquet(masks, spend, by_low, subset + (nxt,), c, once | m, more, nxt + 1)
 
 
 def _extend_family(
-    candidates: list[tuple[tuple[int, ...], int]],
+    by_low: dict[int, list[_Candidate]],
+    near: Sequence[int],
     full: int,
     spend,
     emit,
-    chosen: list[tuple[int, ...]],
+    chosen: list[_Candidate],
     covered: int,
+    systems: set[int],
 ) -> bool:
-    spend()
+    """Cover the vertices with pairwise disjoint candidate bouquets.
+
+    Branches on which candidate covers the lowest uncovered vertex v, so
+    each family is reached exactly once.  Lowest-vertex index: every
+    vertex below v is covered, so a candidate disjoint from the cover
+    that holds v has v as its lowest vertex.  by_low[v] therefore holds
+    every candidate the branch can take, in the order of the whole
+    candidate list, and the families come out in the same order.
+
+    Representative cut: systems holds one blocked mask per pairwise
+    3-disjoint choice of representatives for the bouquets chosen so
+    far, the facets within distance 2 of a chosen one.  A candidate is
+    skipped when it leaves no choice.  3-disjointness is a pairwise,
+    symmetric condition, so whether a choice exists does not depend on
+    the order of the bouquets, and a choice for a family restricts to
+    one for each of its subfamilies: no skipped branch ends in a family
+    that accept would take.  Each state spends one unit per system.
+    """
+    spend(len(systems))
     if covered == full:
         return emit(tuple(chosen))
-    v = (~covered & full) & -(~covered & full)
-    for subset, vmask in candidates:
-        if vmask & v and not vmask & covered:
-            chosen.append(subset)
-            stop = _extend_family(
-                candidates, full, spend, emit, chosen, covered | vmask
-            )
-            chosen.pop()
-            if stop:
-                return True
+    free = ~covered & full
+    for candidate in by_low.get(free & -free, ()):
+        facets, _, union, _ = candidate
+        if union & covered:
+            continue
+        # near is symmetric: blocked holds every facet too close to a chosen one
+        after = set()
+        for blocked in systems:
+            for r in facets:
+                if not blocked >> r & 1:
+                    after.add(blocked | near[r])
+        if not after:
+            continue
+        chosen.append(candidate)
+        stop = _extend_family(
+            by_low, near, full, spend, emit, chosen, covered | union, after
+        )
+        chosen.pop()
+        if stop:
+            return True
     return False
 
 
-def _greedy_family(delta: SimplicialComplex) -> list[tuple[int, ...]] | None:
+def _greedy_family(delta: SimplicialComplex) -> list[_Candidate] | None:
     """One-pass star heuristic: biggest stars first, pruned to free vertices."""
     n = len(delta.vars)
     masks = [f.mask for f in delta.facets]
@@ -419,7 +465,7 @@ def _greedy_family(delta: SimplicialComplex) -> list[tuple[int, ...]] | None:
     ]
     order = sorted(range(n), key=lambda v: (-len(star[v]), v))
     covered = 0
-    family: list[tuple[int, ...]] = []
+    family: list[_Candidate] = []
     for v in order:
         if covered >> v & 1:
             continue
@@ -432,7 +478,7 @@ def _greedy_family(delta: SimplicialComplex) -> list[tuple[int, ...]] | None:
             subset.remove(lost[-1])
         if not subset:
             return None
-        family.append(tuple(sorted(subset)))
+        family.append(_candidate(masks, sorted(subset)))
         for i in subset:
             covered |= masks[i]
     return family if covered == delta.vars.full_mask else None
@@ -451,22 +497,26 @@ def contains_strongly_disjoint_set(
     fall back to a star-based heuristic whose empty answer is not.  Every
     returned family spans the vertices, passes the outside condition, and
     carries its lexicographically least representative system.
+    first_only stops at the first family the search reaches, which is
+    one of the full answer's but not always its first.
+
+    budget bounds the states of the cut search (see _candidate_bouquets
+    and _extend_family): one per bouquet grown, and one per
+    representative system carried into each state of the family search.
+    A cut branch spends nothing past the cut.
     """
     results: list[BouquetSet] = []
     near = _near(delta)
+    masks = [f.mask for f in delta.facets]
 
-    def accept(family: Sequence[tuple[int, ...]]) -> BouquetSet | None:
-        bouquets = []
-        for subset in sorted(family):
-            check = is_bouquet(delta, subset)
-            assert check.ok, "search emitted a non-bouquet"
-            bouquets.append(check.bouquet)
+    def accept(family: Sequence[_Candidate]) -> BouquetSet | None:
+        bouquets = tuple(_bouquet(masks, c) for c in sorted(family))
         if not outside_condition(delta, bouquets):
             return None
         reps = next(_representative_systems(bouquets, near), None)
         if reps is None:
             return None
-        return BouquetSet(delta, tuple(bouquets), reps, True, True)
+        return BouquetSet(delta, bouquets, reps, True, True)
 
     if len(delta.facets) > exhaustive_threshold:
         family = _greedy_family(delta)
@@ -476,9 +526,9 @@ def contains_strongly_disjoint_set(
         return [bset] if bset is not None else []
 
     spend = errors.budget(budget, "bouquet family search", lambda: list(results))
-    candidates = _candidate_bouquets(delta, spend)
+    by_low = _candidate_bouquets(masks, delta.vars.full_mask, spend)
 
-    def emit(family: tuple[tuple[int, ...], ...]) -> bool:
+    def emit(family: tuple[_Candidate, ...]) -> bool:
         bset = accept(family)
         if bset is not None:
             results.append(bset)
@@ -486,7 +536,7 @@ def contains_strongly_disjoint_set(
                 return True
         return False
 
-    _family_search(delta, candidates, spend, emit)
+    _extend_family(by_low, near, delta.vars.full_mask, spend, emit, [], 0, {0})
     results.sort(key=lambda s: (len(s.bouquets), [b.facets for b in s.bouquets]))
     return results
 

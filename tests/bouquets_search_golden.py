@@ -37,7 +37,12 @@ def families_digest(found) -> str:
         [
             [
                 [
-                    [list(b.facets), b.root.mask, list(b.free_vertex_witness), b.vertex_mask]
+                    [
+                        list(b.facets),
+                        b.root.mask,
+                        list(b.free_vertex_witness),
+                        b.vertex_mask,
+                    ]
                     for b in bset.bouquets
                 ],
                 list(bset.representatives),

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -22,6 +23,7 @@ from sqfbetti import (
     is_well_ordered_cover,
     multigraded_betti,
     outside_condition,
+    parse_ideal_text,
     representative_systems,
     spans_complex,
 )
@@ -545,3 +547,210 @@ def test_subadditivity_rejects_a_table_of_another_field_or_ideal(
         bouquet_subadditivity(bset, [0], table=star_cluster_table)
     cert = bouquet_subadditivity(bset, [0], field=FieldSpec.prime(2), table=gf2)
     assert cert.holds and cert.field == FieldSpec.prime(2)
+
+
+# ---------------------------------------------------------------------------
+# the cut search against two oracles that share none of its code
+
+
+def _record(bset):
+    """Every field of a found family, for exact comparison."""
+    return (
+        tuple(
+            (b.facets, b.root.mask, b.free_vertex_witness, b.vertex_mask)
+            for b in bset.bouquets
+        ),
+        bset.representatives,
+        bset.spans_delta,
+        bset.outside_condition_ok,
+    )
+
+
+def _records(found):
+    return [_record(s) for s in found]
+
+
+def _assignments(sets, k, groups):
+    # each facet from k on goes outside or into a group; a group keeps a
+    # nonempty root and no vertex of another group, as bouquets must
+    if k == len(sets):
+        yield [tuple(g) for g in groups]
+        return
+    yield from _assignments(sets, k + 1, groups)
+    for g in groups + [[]]:
+        others = set().union(*(sets[i] for h in groups if h is not g for i in h))
+        if sets[k] & others or not set.intersection(sets[k], *(sets[i] for i in g)):
+            continue
+        if not g:
+            groups.append(g)
+        g.append(k)
+        yield from _assignments(sets, k + 1, groups)
+        g.pop()
+        if not g:
+            groups.pop()
+
+
+def _brute_force_families(delta):
+    """The spanning strongly disjoint families, from every assignment of facets.
+
+    Returns what contains_strongly_disjoint_set returns: each family's
+    bouquets by facets, its least pairwise 3-disjoint representatives,
+    the families by size and then facets.
+    """
+    sets = [set(f.indices()) for f in delta.facets]
+    n = len(sets)
+    far = {
+        (i, j): facet_distance(delta, i, j) >= 3
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    }
+    found = []
+    for groups in _assignments(sets, 0, []):
+        if not groups or set().union(*(sets[i] for g in groups for i in g)) != set(
+            range(len(delta.vars))
+        ):
+            continue
+        bouquets = []
+        for g in sorted(groups):
+            free = [sets[i] - set().union(*(sets[j] for j in g if j != i)) for i in g]
+            if not all(free):
+                break
+            root = set.intersection(*(sets[i] for i in g))
+            bouquets.append((g, root, tuple(min(f) for f in free)))
+        else:
+            inside = {i for g in groups for i in g}
+            wings = [sets[i] - root for g, root, _ in bouquets for i in g]
+            if any(
+                sets[f] & wing and not wing <= sets[f]
+                for f in range(n)
+                if f not in inside
+                for wing in wings
+            ):
+                continue
+            reps = next(
+                (
+                    reps
+                    for reps in itertools.product(*(g for g, _, _ in bouquets))
+                    if all(far[r, c] for r, c in itertools.combinations(reps, 2))
+                ),
+                None,
+            )
+            if reps is None:
+                continue
+            record = tuple(
+                (
+                    g,
+                    sum(1 << v for v in root),
+                    witnesses,
+                    sum(1 << v for v in set().union(*(sets[i] for i in g))),
+                )
+                for g, root, witnesses in bouquets
+            )
+            found.append((record, reps, True, True))
+    found.sort(key=lambda r: (len(r[0]), [b[0] for b in r[0]]))
+    return found
+
+
+def _small_fixed_complexes():
+    import bouquets_search_golden
+
+    fixed = bouquets_search_golden.load_inputs().FIXED
+    return [
+        facet_complex(parse_ideal_text("\n".join(gens)))
+        for gens in fixed.values()
+        if len(gens) <= 9
+    ]
+
+
+def test_search_agrees_with_brute_force_over_facet_assignments():
+    rng = random.Random(89)
+    deltas = _small_fixed_complexes()
+    deltas += [
+        facet_complex(random_sqf_ideal(rng, max_vars=7, max_gens=7)) for _ in range(300)
+    ]
+    families = 0
+    for delta in deltas:
+        found = contains_strongly_disjoint_set(delta)
+        assert _records(found) == _brute_force_families(delta), delta
+        first = contains_strongly_disjoint_set(delta, first_only=True)
+        assert len(first) == min(len(found), 1)
+        assert set(_records(first)) <= set(_records(found))
+        families += len(found)
+    assert families >= 150
+
+
+def _edge_ideal(vertices: int, edges: int):
+    pairs = list(itertools.combinations(range(vertices), 2))
+    chosen = random.Random(0).sample(pairs, edges)
+    return parse_ideal_text("\n".join(f"x{a} x{b}" for a, b in chosen))
+
+
+def test_search_agrees_with_the_search_without_cuts():
+    import bouquets_dfs
+    import bouquets_search_golden
+
+    inputs = bouquets_search_golden.load_inputs()
+    ideals = list(inputs.FIXED.values())
+    ideals += [gens for seed in (1, 2, 3) for gens in inputs.random_ideals(seed)]
+    deltas = [facet_complex(parse_ideal_text("\n".join(gens))) for gens in ideals]
+    for delta in deltas:
+        for first_only in (False, True):
+            got = contains_strongly_disjoint_set(delta, first_only=first_only)
+            want = bouquets_dfs.strongly_disjoint_sets(delta, first_only=first_only)
+            assert _records(got) == _records(want), (delta, first_only)
+    for size, count in (((12, 18), 2), ((15, 24), 0)):
+        delta = facet_complex(_edge_ideal(*size))
+        for first_only in (False, True):
+            got = contains_strongly_disjoint_set(
+                delta, first_only=first_only, exhaustive_threshold=1000
+            )
+            want = bouquets_dfs.strongly_disjoint_sets(delta, first_only=first_only)
+            assert _records(got) == _records(want), (size, first_only)
+            assert len(got) == (min(count, 1) if first_only else count)
+
+
+def test_searches_of_the_seed_1_random_ideals_are_pinned():
+    # the sha256 of every search, all and first_only, on the facet
+    # complexes of the benchmark's seed-1 ideals (tests/bouquets_search_golden.py)
+    import bouquets_search_golden as golden
+
+    pinned = json.loads(golden.GOLDEN.read_text())
+    assert pinned["seed"] == golden.SEED
+    assert golden.differences(pinned["searches"], golden.digests()) == []
+
+
+def test_capped_search_carries_the_families_emitted_before_the_cap():
+    import bouquets_dfs
+
+    rng = random.Random(97)
+    raised = carried = 0
+    for _ in range(60):
+        delta = facet_complex(random_sqf_ideal(rng, max_vars=9, max_gens=7))
+        full = _records(contains_strongly_disjoint_set(delta))
+        emitted = _records(bouquets_dfs.emitted(delta))
+        for budget in itertools.count(1):
+            try:
+                found = contains_strongly_disjoint_set(delta, budget=budget)
+            except SizeLimitExceeded as e:
+                partial = _records(e.partial)
+                assert partial == emitted[: len(partial)]
+                raised += 1
+                carried += bool(partial)
+            else:
+                assert _records(found) == full
+                break
+        # the smallest budget that completes: every larger one does too
+        for more in (budget + 1, 2 * budget, 10 * budget):
+            assert _records(contains_strongly_disjoint_set(delta, budget=more)) == full
+    assert raised >= 500 and carried >= 20
+
+
+def test_representative_cut_stops_before_the_leaf(path3):
+    # x y and z u are the only spanning family, and they are 2 apart:
+    # the cut drops z u before the leaf.  The search spends 6 states on
+    # the candidates and 3 on the families
+    delta = facet_complex(path3)
+    assert contains_strongly_disjoint_set(delta, budget=9) == []
+    with pytest.raises(SizeLimitExceeded):
+        contains_strongly_disjoint_set(delta, budget=8)
