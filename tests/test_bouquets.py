@@ -550,7 +550,8 @@ def test_subadditivity_rejects_a_table_of_another_field_or_ideal(
 
 
 # ---------------------------------------------------------------------------
-# the cut search against two oracles that share none of its code
+# the cut search against a brute force over facet assignments, which shares
+# none of its code, and against the search without cuts (tests/bouquets_dfs.py)
 
 
 def _record(bset):
