@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import compress, islice
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
@@ -265,10 +265,6 @@ def _int(tok: str) -> int:
         raise ParseError(f"not an integer: {tok!r}") from None
 
 
-# a mask's binary digits from bit 0 up, as the 0/1 flags of itertools.compress
-_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _array(items: list[str], indent: str) -> str:
     """A JSON array of encoded items, its closing bracket at indent."""
     if not items:
@@ -288,12 +284,20 @@ def format_betti_json(table: BettiTable) -> str:
     sorted by i and then the canonical monomial order; ``pd``; ``t``,
     mapping str(a) to t_a with the keys sorted as strings (so "10"
     before "2"); ``totals``; and ``variables``, the variable names in
-    table order.  The text is written from fixed templates: each name is
-    encoded once per table, each multidegree's name array once per mask,
-    by itertools.compress over the mask's bits.  The multigraded entries
-    are read per degree from nonzero(i), which is in the canonical order
-    already; only a table built from a bare dict with rank-0 entries,
-    which nonzero(i) leaves out, has its entries sorted here.
+    table order.  The text is written from fixed templates.  Each name is
+    encoded once per table, as an array item: a comma, a newline, eight
+    spaces and the name.  Each 4-bit digit of the variable table gets a
+    row of up to 16 strings, entry d joining the items of the set bits of
+    d in bit order.  A monomial's name array is the row entries of its
+    mask's digits, joined, with the first comma dropped (``[]`` for the
+    mask 0).
+    The walk takes a 16-bit word, four digits, at a time and jumps over
+    empty words by the lowest set bit, so an array costs time in the
+    mask's nonzero words, not in the number of variables.  The
+    multigraded entries are read per degree from nonzero(i), which is in
+    the canonical order already; only a table built from a bare dict with
+    rank-0 entries, which nonzero(i) leaves out, has its entries sorted
+    here.
     """
     names = [encode_basestring_ascii(v) for v in table.ideal.vars.names]
     multigraded = table.multigraded
@@ -302,19 +306,36 @@ def format_betti_json(table: BettiTable) -> str:
     if sum(map(len, lists.values())) != len(multigraded):
         # rank-0 entries, which a bare dict may hold and nonzero leaves out
         lists = _by_degree(multigraded)
-    arrays: dict[int, str] = {}  # mask -> name array
+    # rows[k][d]: the items of the set bits of the digit d at bits 4k..4k+3,
+    # joined from those of its two 2-bit halves; three empty rows at the
+    # end, so that every 16-bit word of a mask has four rows
+    items = [",\n        " + name for name in names]
+    halves = [("", a, b, a + b) for a, b in zip(items[::2], items[1::2] + [""])]
+    rows = [
+        [lo + hi for hi in high for lo in low]
+        for low, high in zip(halves[::2], halves[1::2] + [("",)])
+    ] + [[""]] * 3
     multi = []
     for i in sorted(lists):
+        head = f'{{\n      "i": {i},\n      "monomial": '
         for m in lists[i]:
-            monomial = arrays.get(m.mask)
-            if monomial is None:
-                flags = bin(m.mask)[:1:-1].encode().translate(_BIT_FLAGS)
-                monomial = arrays[m.mask] = _array(
-                    list(compress(names, flags)), "      "
-                )
+            mask = m.mask
+            array = ""
+            k = 0  # the low 16 bits of mask are the digits of rows k..k+3
+            while mask:
+                w = mask & 0xFFFF
+                if w:
+                    array += rows[k][w & 15] + rows[k + 1][w >> 4 & 15]
+                    array += rows[k + 2][w >> 8 & 15] + rows[k + 3][w >> 12]
+                    mask >>= 16
+                    k += 4
+                else:  # on to the next 16-bit word with a set bit
+                    skip = (mask & -mask).bit_length() - 1 >> 4
+                    mask >>= skip << 4
+                    k += skip << 2
+            monomial = f"[{array[1:]}\n      ]" if array else "[]"
             multi.append(
-                f'{{\n      "i": {i},\n      "monomial": {monomial},\n'
-                f'      "rank": {multigraded[(i, m)]}\n    }}'
+                f'{head}{monomial},\n      "rank": {multigraded[(i, m)]}\n    }}'
             )
     graded = [
         f'{{\n      "i": {i},\n      "j": {j},\n      "rank": {rank}\n    }}'

@@ -689,7 +689,9 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--size", type=int, default=None, metavar="S")
     p.add_argument("--all", action="store_true", help="report every ordering")
-    p.add_argument("--first", action="store_true", help="stop at the first hit")
+    p.add_argument(
+        "--first", action="store_true", help="the first sequence of the full search"
+    )
     p.add_argument("--split", type=int, default=None, metavar="A")
     p.add_argument("--alpha", action="store_true", help="alpha values and ell")
     p.add_argument("--rotate", type=int, default=None, metavar="I")
@@ -704,7 +706,12 @@ def _build_parser() -> _Parser:
         "bouquets", parents=[common], help="strongly disjoint bouquet families"
     )
     p.add_argument("--find", action="store_true", help="search for families")
-    p.add_argument("--first", action="store_true", help="stop at the first family")
+    p.add_argument(
+        "--first",
+        action="store_true",
+        help="stop at the first family the search reaches: one of the full "
+        "answer's families, but not always its least",
+    )
     p.add_argument(
         "--exhaustive-threshold",
         type=int,

@@ -264,7 +264,7 @@ class SimplicialComplex:
     __slots__ = ("vars", "facets", "ideal", "_near")
 
     def __init__(self, vars: VariableTable, facets: Sequence[SqfMonomial]):
-        self._set_ideal(_normalize(facets, vars, refuse_drops=True))
+        self._set_ideal(_normalize([f.mask for f in facets], vars, refuse_drops=True))
 
     def _set_ideal(self, ideal: MonomialIdeal) -> None:
         self.vars = ideal.vars
@@ -307,43 +307,43 @@ def normalize_generators(
     divisibility-minimal ones), sorts canonically, and rejects inputs
     that leave some variable of the table uncovered.
     """
-    return _normalize(raw, vars, refuse_drops=False)
+    return _normalize([g.mask for g in raw], vars, refuse_drops=False)
 
 
 def _normalize(
-    raw: Sequence[SqfMonomial], vars: VariableTable, refuse_drops: bool
+    masks: list[int], vars: VariableTable, refuse_drops: bool
 ) -> MonomialIdeal:
-    """normalize_generators; with refuse_drops, a repeated or nested
-    generator raises ParseError naming a facet that it contains."""
+    """normalize_generators over the generators' masks; with refuse_drops,
+    a repeated or nested generator raises ParseError naming a facet that
+    it contains."""
     # a proper divisor has a lower degree and sorts first, as does the
     # first copy of a repeat
-    ordered = sorted(raw, key=SqfMonomial.sort_key)
+    ordered = sorted(masks, key=mask_sort_key)
     if not ordered:
         raise EmptyInput("no generators given")
     full = vars.full_mask
-    if any(g.mask & ~full for g in ordered):
+    if any(m & ~full for m in ordered):
         raise ParseError("generator support outside the variable table")
     gens = []
     covered = 0
-    for g in ordered:
-        m = g.mask
+    for m in ordered:
         if not m:
             # the unit ideal is out of scope: 1 divides everything
             raise ParseError("the monomial 1 is not allowed as a generator")
-        if all(f.mask & ~m for f in gens):
-            gens.append(g)
+        if all(f & ~m for f in gens):
+            gens.append(m)
             covered |= m
         elif refuse_drops:
-            f = next(f for f in gens if f.divides(g))
+            f = next(f for f in gens if not f & ~m)
             raise ParseError(
-                f"facet {format_monomial(f, vars)} is contained in "
-                f"{format_monomial(g, vars)}"
+                f"facet {format_monomial(SqfMonomial(f), vars)} is contained in "
+                f"{format_monomial(SqfMonomial(m), vars)}"
             )
     if covered != full:
         for i in range(len(vars)):
             if not covered >> i & 1:
                 raise UncoveredVariable(vars.names[i])
-    return MonomialIdeal(vars, gens)
+    return MonomialIdeal(vars, map(SqfMonomial, gens))
 
 
 def facet_complex(I: MonomialIdeal) -> SimplicialComplex:
@@ -466,35 +466,33 @@ def parse_ideal_text(text: str, wide: bool = False) -> MonomialIdeal:
     '_' followed by letters, digits or '_', optionally ending in a
     parenthesised index such as x(1); any other token is a ParseError,
     and so is a variable listed twice in one generator.  Variables are
-    interned in first-seen order.
+    interned in first-seen order: a map gives each name its bit, and each
+    generator's mask is built as its line is read, so a repeat is a bit
+    already set in the mask.  The masks go to the normalization directly.
     """
-    names: list[str] = []
-    seen: dict[str, int] = {}
-    raw_gens: list[list[int]] = []
+    bits: dict[str, int] = {}  # name -> its bit, in first-seen order
+    masks: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = [t for t in line.replace("*", " ").split() if t]
-        indices = []
-        for tok in tokens:
-            if tok not in seen:
+        mask = 0
+        for tok in line.replace("*", " ").split():
+            bit = bits.get(tok)
+            if bit is None:
                 if not _VARIABLE_NAME.fullmatch(tok):
                     raise ParseError(f"bad variable name {tok!r} on line {lineno}")
-                seen[tok] = len(names)
-                names.append(tok)
-            elif seen[tok] in indices:
+                bit = bits[tok] = 1 << len(bits)
+            elif mask & bit:
                 raise ParseError(
                     f"variable {tok!r} repeated on line {lineno}: "
                     "generators must be square-free"
                 )
-            indices.append(seen[tok])
-        raw_gens.append(indices)
-    if not raw_gens:
+            mask |= bit
+        masks.append(mask)
+    if not masks:
         raise EmptyInput("no generators in input")
-    vars = VariableTable(names, wide=wide)
-    gens = [SqfMonomial.from_indices(ix) for ix in raw_gens]
-    return normalize_generators(gens, vars)
+    return _normalize(masks, VariableTable(bits, wide=wide), refuse_drops=False)
 
 
 def format_ideal_text(I: MonomialIdeal) -> str:

@@ -13,12 +13,14 @@ from sqfbetti import (
     RATIONALS,
     FieldSpec,
     SqfMonomial,
+    VariableTable,
     betti_table,
     build_lattice,
     format_betti_json,
     format_betti_m2,
     induced_subideal,
     multigraded_betti,
+    normalize_generators,
     parse_betti_m2,
     parse_ideal_text,
     restrict_monomial,
@@ -27,7 +29,7 @@ from sqfbetti import (
     reduced_homology_ranks,
 )
 from sqfbetti.betti import BettiTable
-from sqfbetti.errors import OutOfRange, ParseError, SizeLimitExceeded
+from sqfbetti.errors import OutOfRange, ParseError, SizeLimitExceeded, SqfBettiError
 
 from betti_dict import betti_dict
 from conftest import mk, random_sqf_ideal
@@ -301,6 +303,58 @@ def assert_stdlib_json(table):
 def test_json_writer_matches_stdlib_on_random_ideals(seed, field):
     I = random_sqf_ideal(random.Random(seed), max_vars=7, max_gens=7)
     assert_stdlib_json(betti_table(I, field))
+
+
+def polarized_names(n: int, rng: random.Random) -> list[str]:
+    """n distinct names of mixed length, polarized ones such as x(1) among them."""
+    names = []
+    for base in ("x", "yy", "z_3", "w", "long_name"):
+        names += [base] + [f"{base}({k})" for k in range(1, 16)]
+    return rng.sample(names, n)
+
+
+def random_named_ideal(rng: random.Random, n: int, wide: bool = False):
+    """A random ideal over n polarized names, every name in some generator."""
+    while True:
+        vars = VariableTable(polarized_names(n, rng), wide=wide)
+        gens = [
+            SqfMonomial.from_indices(rng.sample(range(n), rng.randint(1, min(n, 5))))
+            for _ in range(rng.randint(1, 7))
+        ]
+        covered = 0
+        for g in gens:
+            covered |= g.mask
+        # the names left out join random generators, and all of them the last
+        extra = [vars.full_mask & ~covered & rng.getrandbits(n) for _ in gens]
+        extra[-1] |= vars.full_mask & ~covered
+        gens = [SqfMonomial(g.mask | e) for g, e in zip(gens, extra)]
+        try:
+            return normalize_generators(gens, vars)
+        except SqfBettiError:
+            continue
+
+
+@pytest.mark.parametrize("field", [RATIONALS, FieldSpec(2)], ids=["QQ", "GF2"])
+@pytest.mark.parametrize("n", range(1, 21))
+def test_json_writer_matches_stdlib_beyond_seven_variables(n, field):
+    # 1 to 20 variables, so the last 4-bit digit of the names holds each of
+    # 1 to 4 of them, and masks that skip whole digits
+    rng = random.Random(n)
+    for _ in range(3):
+        assert_stdlib_json(betti_table(random_named_ideal(rng, n), field))
+
+
+def test_json_writer_matches_stdlib_on_a_wide_table():
+    rng = random.Random(70)
+    I = random_named_ideal(rng, 70, wide=True)
+    assert len(I.vars) == 70
+    assert_stdlib_json(betti_table(I))
+    # generators on overlapping runs of names: some multidegrees leave
+    # their low 16, 32 or 48 bits empty
+    vars = VariableTable(polarized_names(70, rng), wide=True)
+    spans = [(0, 16), (14, 30), (28, 44), (42, 56), (54, 70)]
+    runs = [SqfMonomial(((1 << b) - 1) & ~((1 << a) - 1)) for a, b in spans]
+    assert_stdlib_json(betti_table(normalize_generators(runs, vars)))
 
 
 def test_json_writer_ignores_table_insertion_order(triangle_tail_table):

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqfbetti import (
@@ -25,11 +25,12 @@ from sqfbetti import (
     polarize,
     restrict_monomial,
 )
-from sqfbetti.core import private_bits
+from sqfbetti.core import _VARIABLE_NAME, private_bits
 from sqfbetti.errors import (
     EmptyInput,
     NotAFacet,
     ParseError,
+    SqfBettiError,
     TooManyVariables,
     UncoveredVariable,
 )
@@ -378,6 +379,83 @@ def test_parse_rejects_a_repeated_variable():
 def test_parse_text_empty_raises():
     with pytest.raises(EmptyInput):
         parse_ideal_text("   \n# only a comment\n")
+
+
+def reference_parse_ideal_text(text: str, wide: bool = False):
+    """parse_ideal_text as it was written with index lists: the reference."""
+    names: list[str] = []
+    seen: dict[str, int] = {}
+    raw_gens: list[list[int]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = [t for t in line.replace("*", " ").split() if t]
+        indices = []
+        for tok in tokens:
+            if tok not in seen:
+                if not _VARIABLE_NAME.fullmatch(tok):
+                    raise ParseError(f"bad variable name {tok!r} on line {lineno}")
+                seen[tok] = len(names)
+                names.append(tok)
+            elif seen[tok] in indices:
+                raise ParseError(
+                    f"variable {tok!r} repeated on line {lineno}: "
+                    "generators must be square-free"
+                )
+            indices.append(seen[tok])
+        raw_gens.append(indices)
+    if not raw_gens:
+        raise EmptyInput("no generators in input")
+    vars = VariableTable(names, wide=wide)
+    gens = [SqfMonomial.from_indices(ix) for ix in raw_gens]
+    return normalize_generators(gens, vars)
+
+
+# mostly good names, polarized ones among them, and now and then a bad one
+GOOD_NAMES = ["x", "y", "z", "w", "x(1)", "x(12)", "y(1)", "ab_2", "_q", "Y3"]
+BAD_NAMES = ["1x", "x^2", "x+y", "y,", "x(", "(1)", "x(1)y"]
+TEXT_NAMES = st.sampled_from(GOOD_NAMES * 8 + BAD_NAMES)
+TEXT_SEPARATORS = st.sampled_from([" ", "*", " * ", "\t", "**", "  ", "* "])
+
+
+@st.composite
+def ideal_texts(draw):
+    lines: list[str] = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["gen", "gen", "gen", "copy", "comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# note", "  #x y", "#"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        elif kind == "copy" and lines:
+            # a repeated generator, or one nested in an earlier line
+            extra = draw(st.sampled_from(["", " w", "*x", " y(1)"]))
+            lines.append(draw(st.sampled_from(lines)) + extra)
+        else:
+            tokens = draw(st.lists(TEXT_NAMES, min_size=1, max_size=4))
+            line = tokens[0]
+            for tok in tokens[1:]:
+                line += draw(TEXT_SEPARATORS) + tok
+            pad = draw(st.sampled_from(["", " ", "*", "\t "]))
+            lines.append(pad + line + draw(st.sampled_from(["", " ", "*"])))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ideal_texts())
+def test_parse_text_matches_the_index_list_reference(text):
+    try:
+        expected = reference_parse_ideal_text(text)
+    except SqfBettiError as e:
+        with pytest.raises(type(e)) as got:
+            parse_ideal_text(text)
+        assert type(got.value) is type(e)
+        assert str(got.value) == str(e)
+        return
+    I = parse_ideal_text(text)
+    assert I.vars.names == expected.vars.names
+    assert [g.mask for g in I.gens] == [g.mask for g in expected.gens]
 
 
 def test_json_roundtrip(triangle_tail):
