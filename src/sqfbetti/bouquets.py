@@ -23,15 +23,12 @@ from .core import (
     SqfMonomial,
     facet_ideal,
     format_monomial,
-    private_bits,
 )
 from .covers import DEFAULT_SEARCH_BUDGET
 from . import errors
 from .errors import InvalidBouquetSet, InvalidPartition, SameFacet
 from .homology import RATIONALS, FieldSpec
 from .lattice import complementary
-
-EXHAUSTIVE_THRESHOLD = 16
 
 # a candidate bouquet: (facets, root, union, twice), masks over the vertices
 _Candidate = tuple[tuple[int, ...], int, int, int]
@@ -363,10 +360,10 @@ def _candidate_bouquets(
 ) -> dict[int, list[_Candidate]]:
     """Every bouquet on the facets masks, filed under its lowest vertex.
 
-    The DFS adds facets in increasing index and spends one state per
-    bouquet.  A child only shrinks the root and only adds to twice, so a
-    branch is cut, with its whole subtree, at the first facet that
-    empties the root or leaves some facet without a free vertex
+    The DFS adds facets in increasing index and spends one budget unit
+    per bouquet grown.  A child only shrinks the root and only adds to
+    twice, so a branch is cut, with its whole subtree, at the first facet
+    that empties the root or leaves some facet without a free vertex
     (masks[k] & ~twice == 0): no superset can be a bouquet again.  The
     cut drops no bouquet, so each list keeps the DFS preorder.
     """
@@ -428,9 +425,13 @@ def _extend_family(
     symmetric condition, so whether a choice exists does not depend on
     the order of the bouquets, and a choice for a family restricts to
     one for each of its subfamilies: no skipped branch ends in a family
-    that accept would take.  Each state spends one unit per system.
+    that emit would keep.
+
+    Each state spends one unit, and each candidate disjoint from the
+    cover spends len(systems) * len(facets) more, one per test of a
+    representative against a blocked mask in building after.
     """
-    spend(len(systems))
+    spend()
     if covered == full:
         return emit(tuple(chosen))
     free = ~covered & full
@@ -438,6 +439,7 @@ def _extend_family(
         facets, _, union, _ = candidate
         if union & covered:
             continue
+        spend(len(systems) * len(facets))
         # near is symmetric: blocked holds every facet too close to a chosen one
         after = set()
         for blocked in systems:
@@ -456,85 +458,40 @@ def _extend_family(
     return False
 
 
-def _greedy_family(delta: SimplicialComplex) -> list[_Candidate] | None:
-    """One-pass star heuristic: biggest stars first, pruned to free vertices."""
-    n = len(delta.vars)
-    masks = [f.mask for f in delta.facets]
-    star = [
-        [i for i, m in enumerate(masks) if m >> v & 1] for v in range(n)
-    ]
-    order = sorted(range(n), key=lambda v: (-len(star[v]), v))
-    covered = 0
-    family: list[_Candidate] = []
-    for v in order:
-        if covered >> v & 1:
-            continue
-        subset = [i for i in star[v] if not masks[i] & covered]
-        while subset:
-            private = private_bits([masks[i] for i in subset])
-            lost = [i for i, p in zip(subset, private) if not p]
-            if not lost:
-                break
-            subset.remove(lost[-1])
-        if not subset:
-            return None
-        family.append(_candidate(masks, sorted(subset)))
-        for i in subset:
-            covered |= masks[i]
-    return family if covered == delta.vars.full_mask else None
-
-
 def contains_strongly_disjoint_set(
     delta: SimplicialComplex,
     first_only: bool = False,
-    exhaustive_threshold: int = EXHAUSTIVE_THRESHOLD,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> list[BouquetSet]:
     """Search for spanning strongly disjoint bouquet families.
 
-    Complexes with at most exhaustive_threshold facets are searched
-    completely (an empty answer is then a proof of absence); larger ones
-    fall back to a star-based heuristic whose empty answer is not.  Every
-    returned family spans the vertices, passes the outside condition, and
-    carries its lexicographically least representative system.
-    first_only stops at the first family the search reaches, which is
-    one of the full answer's but not always its first.
+    The search is exhaustive at every size: an empty answer proves that
+    no family exists.  Every returned family spans the vertices, passes
+    the outside condition, and carries its lexicographically least
+    representative system.  first_only stops at the first family the
+    search reaches, which is one of the full answer's but not always its
+    first.
 
-    budget bounds the states of the cut search (see _candidate_bouquets
-    and _extend_family): one per bouquet grown, and one per
-    representative system carried into each state of the family search.
-    A cut branch spends nothing past the cut.
+    budget bounds the work of the cut search, in units: one per bouquet
+    grown (_candidate_bouquets), one per state of the family search, and
+    one per test of a representative against a blocked mask
+    (_extend_family).  A cut branch spends nothing past the cut.
     """
     results: list[BouquetSet] = []
     near = _near(delta)
     masks = [f.mask for f in delta.facets]
-
-    def accept(family: Sequence[_Candidate]) -> BouquetSet | None:
-        bouquets = tuple(_bouquet(masks, c) for c in sorted(family))
-        if not outside_condition(delta, bouquets):
-            return None
-        reps = next(_representative_systems(bouquets, near), None)
-        if reps is None:
-            return None
-        return BouquetSet(delta, bouquets, reps, True, True)
-
-    if len(delta.facets) > exhaustive_threshold:
-        family = _greedy_family(delta)
-        if family is None:
-            return []
-        bset = accept(family)
-        return [bset] if bset is not None else []
-
     spend = errors.budget(budget, "bouquet family search", lambda: list(results))
     by_low = _candidate_bouquets(masks, delta.vars.full_mask, spend)
 
     def emit(family: tuple[_Candidate, ...]) -> bool:
-        bset = accept(family)
-        if bset is not None:
-            results.append(bset)
-            if first_only:
-                return True
-        return False
+        bouquets = tuple(_bouquet(masks, c) for c in sorted(family))
+        if not outside_condition(delta, bouquets):
+            return False
+        reps = next(_representative_systems(bouquets, near), None)
+        if reps is None:
+            return False
+        results.append(BouquetSet(delta, bouquets, reps, True, True))
+        return first_only
 
     _extend_family(by_low, near, delta.vars.full_mask, spend, emit, [], 0, {0})
     results.sort(key=lambda s: (len(s.bouquets), [b.facets for b in s.bouquets]))

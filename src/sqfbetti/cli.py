@@ -24,7 +24,6 @@ from .analysis import (
 )
 from .betti import BettiTable, betti_table, format_betti_json, format_betti_m2
 from .bouquets import (
-    EXHAUSTIVE_THRESHOLD,
     BouquetSet,
     bouquet_subadditivity,
     build_bouquet_set,
@@ -447,27 +446,19 @@ def _cmd_bouquets(args, I: MonomialIdeal, field: FieldSpec) -> int:
         raise ParseError("--subadd needs --check to fix the bouquet family")
 
     if args.find:
-        threshold = args.exhaustive_threshold
-        exhaustive = len(delta.facets) <= threshold
         found = contains_strongly_disjoint_set(
-            delta,
-            first_only=args.first,
-            exhaustive_threshold=threshold,
-            budget=args.search_budget_value,
+            delta, first_only=args.first, budget=args.search_budget_value
         )
         if args.format == "json":
             _emit(
                 {
                     "mode": "find",
-                    "exhaustive": exhaustive,
+                    "exhaustive": True,
                     "bouquet_sets": [_bset_json(b) for b in found],
                 }
             )
         elif not found:
-            if exhaustive:
-                print("none found (search exhaustive)")
-            else:
-                print("none found (heuristic search; not exhaustive)")
+            print("none found (search exhaustive)")
         else:
             for k, b in enumerate(found):
                 print(f"set {k}: {_bset_text(b)}")
@@ -711,13 +702,6 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="stop at the first family the search reaches: one of the full "
         "answer's families, but not always its least",
-    )
-    p.add_argument(
-        "--exhaustive-threshold",
-        type=int,
-        default=EXHAUSTIVE_THRESHOLD,
-        metavar="N",
-        help="facet count up to which the search is exhaustive",
     )
     p.add_argument(
         "--check",

@@ -330,15 +330,17 @@ def _normalize(
         if not m:
             # the unit ideal is out of scope: 1 divides everything
             raise ParseError("the monomial 1 is not allowed as a generator")
-        if all(f & ~m for f in gens):
+        for f in gens:
+            if not f & ~m:
+                if refuse_drops:
+                    raise ParseError(
+                        f"facet {format_monomial(SqfMonomial(f), vars)} is "
+                        f"contained in {format_monomial(SqfMonomial(m), vars)}"
+                    )
+                break
+        else:
             gens.append(m)
             covered |= m
-        elif refuse_drops:
-            f = next(f for f in gens if not f & ~m)
-            raise ParseError(
-                f"facet {format_monomial(SqfMonomial(f), vars)} is contained in "
-                f"{format_monomial(SqfMonomial(m), vars)}"
-            )
     if covered != full:
         for i in range(len(vars)):
             if not covered >> i & 1:

@@ -89,7 +89,7 @@ class SizeLimitExceeded(SqfBettiError):
 
 
 def budget(limit: int, what: str, partial: Callable[[], list]) -> Callable[..., None]:
-    """A spend(count=1) that raises SizeLimitExceeded past limit states.
+    """A spend(count=1) that raises SizeLimitExceeded past limit units.
 
     The message reads "<what> exceeded budget <limit>"; partial() is
     called when the budget runs out, for the results complete so far.

@@ -6,8 +6,8 @@ with a nonempty root that keeps a free vertex in each facet, scans the
 whole list at each state, and builds and decides each family only at
 the leaf: its bouquets from ``core.private_bits``, then the outside
 condition, recomputing the wings per outside facet, then the
-representative systems.  It spends no budget and has no heuristic
-branch: it answers as the exhaustive search does.
+representative systems.  It spends no budget and answers as the cut
+search does.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def emitted(delta: SimplicialComplex, first_only: bool = False) -> list[BouquetS
 def strongly_disjoint_sets(
     delta: SimplicialComplex, first_only: bool = False
 ) -> list[BouquetSet]:
-    """What the exhaustive contains_strongly_disjoint_set returns."""
+    """What contains_strongly_disjoint_set returns."""
     results = emitted(delta, first_only)
     results.sort(key=lambda s: (len(s.bouquets), [b.facets for b in s.bouquets]))
     return results

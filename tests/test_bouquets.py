@@ -18,6 +18,7 @@ from sqfbetti import (
     facet_complex,
     facet_distance,
     facet_ideal,
+    find_well_ordered_covers,
     is_bouquet,
     is_strongly_disjoint,
     is_well_ordered_cover,
@@ -219,7 +220,7 @@ def test_exhaustive_search_finds_paper_family_star(star_delta):
     b2 = tuple(
         sorted(fid(star_delta, t) for t in ("gy", "gx", "eg", "fg", "gh", "gi"))
     )
-    assert tuple(sorted((b1, b2))) in as_sets
+    assert as_sets == [tuple(sorted((b1, b2)))]
     for s in found:
         assert s.spans_delta and s.outside_condition_ok
         ok, _ = is_strongly_disjoint(star_delta, s.bouquets, s.representatives)
@@ -246,6 +247,13 @@ def test_exhaustive_search_finds_paper_family_brooms(brooms_delta):
 def test_search_first_only(brooms_delta):
     found = contains_strongly_disjoint_set(brooms_delta, first_only=True)
     assert len(found) == 1
+    # the star of a holds all three facets and none keeps a free vertex in
+    # it, but each two of them are a bouquet that spans
+    delta = facet_complex(mk("abd", "abce", "acde"))
+    found = [_family_key(s) for s in contains_strongly_disjoint_set(delta)]
+    assert found == [(((0, 1),), (0,)), (((0, 2),), (0,)), (((1, 2),), (1,))]
+    first = contains_strongly_disjoint_set(delta, first_only=True)
+    assert [_family_key(s) for s in first] == found[:1]
 
 
 def _family_key(bset):
@@ -281,35 +289,6 @@ def test_search_empty_when_nothing_spans(path3):
     # xy and zu are 1 apart through yz, and any spanning family needs both
     delta = facet_complex(path3)
     assert contains_strongly_disjoint_set(delta) == []
-
-
-def test_greedy_path_returns_valid_sets(star_delta, brooms_delta):
-    for delta in (star_delta, brooms_delta):
-        found = contains_strongly_disjoint_set(delta, exhaustive_threshold=0)
-        assert found
-        for s in found:
-            assert s.spans_delta and s.outside_condition_ok
-            ok, _ = is_strongly_disjoint(delta, s.bouquets, s.representatives)
-            assert ok
-
-
-def test_greedy_drops_the_last_facet_without_a_free_vertex():
-    # the star of a holds all three facets and none keeps a free vertex;
-    # dropping the last one leaves the bouquet {0, 1}
-    delta = facet_complex(mk("abd", "abce", "acde"))
-    found = contains_strongly_disjoint_set(delta, exhaustive_threshold=0)
-    assert [_family_key(s) for s in found] == [(((0, 1),), (0,))]
-
-
-def test_greedy_finds_paper_family_on_star(star_delta):
-    found = contains_strongly_disjoint_set(star_delta, exhaustive_threshold=0)
-    assert len(found) == 1
-    got = tuple(sorted(tuple(sorted(b.facets)) for b in found[0].bouquets))
-    b1 = tuple(sorted((fid(star_delta, "abc"), fid(star_delta, "bcd"))))
-    b2 = tuple(
-        sorted(fid(star_delta, t) for t in ("gy", "gx", "eg", "fg", "gh", "gi"))
-    )
-    assert got == tuple(sorted((b1, b2)))
 
 
 def test_orderings_are_well_ordered_covers(star_cluster, star_delta):
@@ -703,9 +682,7 @@ def test_search_agrees_with_the_search_without_cuts():
     for size, count in (((12, 18), 2), ((15, 24), 0)):
         delta = facet_complex(_edge_ideal(*size))
         for first_only in (False, True):
-            got = contains_strongly_disjoint_set(
-                delta, first_only=first_only, exhaustive_threshold=1000
-            )
+            got = contains_strongly_disjoint_set(delta, first_only=first_only)
             want = bouquets_dfs.strongly_disjoint_sets(delta, first_only=first_only)
             assert _records(got) == _records(want), (size, first_only)
             assert len(got) == (min(count, 1) if first_only else count)
@@ -719,6 +696,37 @@ def test_searches_of_the_seed_1_random_ideals_are_pinned():
     pinned = json.loads(golden.GOLDEN.read_text())
     assert pinned["seed"] == golden.SEED
     assert golden.differences(pinned["searches"], golden.digests()) == []
+
+
+def test_covers_and_block_orderings_have_betti_numbers_on_the_seed_1_ideals():
+    # independent engines agree: a well ordered cover of length s, from the
+    # cover search or as a block ordering of a bouquet family, forces
+    # beta_(s, lcm) >= 1 in the table, over QQ and GF(2) alike
+    import bouquets_search_golden
+
+    ideals = bouquets_search_golden.load_inputs().random_ideals(1)
+    covers = orderings = 0
+    for gens in ideals:
+        I = parse_ideal_text("\n".join(gens))
+        masks = [g.mask for g in I.gens]
+        sequences = [woc.sequence for woc in find_well_ordered_covers(I)]
+        covers += len(sequences)
+        for bset in contains_strongly_disjoint_set(facet_complex(I)):
+            for perm in itertools.permutations(range(len(bset))):
+                seq = bouquet_orderings(bset, perm)
+                check = is_well_ordered_cover(I, seq)
+                assert check, (gens, perm, check.reason)
+                sequences.append(seq)
+                orderings += 1
+        for field in (RATIONALS, FieldSpec.prime(2)):
+            table = betti_table(I, field=field).multigraded
+            nonzero = {(i, m.mask) for (i, m), rank in table.items() if rank >= 1}
+            for seq in sequences:
+                lcm = 0
+                for k in seq:
+                    lcm |= masks[k]
+                assert (len(seq), lcm) in nonzero, (gens, field, seq)
+    assert (covers, orderings) == (15_800, 599)
 
 
 def test_capped_search_carries_the_families_emitted_before_the_cap():
@@ -749,9 +757,22 @@ def test_capped_search_carries_the_families_emitted_before_the_cap():
 
 def test_representative_cut_stops_before_the_leaf(path3):
     # x y and z u are the only spanning family, and they are 2 apart:
-    # the cut drops z u before the leaf.  The search spends 6 states on
-    # the candidates and 3 on the families
+    # the cut drops z u before the leaf.  The search spends 6 units on the
+    # candidates (the root and 5 bouquets) and 7 on the families: 3 states,
+    # then one system times the facets of each disjoint candidate, 1 for
+    # x y, 1 for z u below it and 2 for x y, y z
     delta = facet_complex(path3)
-    assert contains_strongly_disjoint_set(delta, budget=9) == []
+    assert contains_strongly_disjoint_set(delta, budget=13) == []
     with pytest.raises(SizeLimitExceeded):
-        contains_strongly_disjoint_set(delta, budget=8)
+        contains_strongly_disjoint_set(delta, budget=12)
+
+
+def test_edge_ideals_answer_exactly_or_end_within_the_budget():
+    # every size gets the exact search: 20/30 has 8 families and 24/36 none,
+    # and the dense 40/160 spends the default budget's work and raises
+    for size, count in (((20, 30), 8), ((24, 36), 0)):
+        delta = facet_complex(_edge_ideal(*size))
+        assert len(contains_strongly_disjoint_set(delta)) == count
+    delta = facet_complex(_edge_ideal(40, 160))
+    with pytest.raises(SizeLimitExceeded, match="bouquet family search exceeded"):
+        contains_strongly_disjoint_set(delta)

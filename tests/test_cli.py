@@ -1,7 +1,9 @@
 import contextlib
 import io
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -294,19 +296,14 @@ def test_bouquets_find_text_and_heuristic_message(capsys):
     assert code == 0
     assert "set 0:" in out
 
-    code, out, _ = run(
-        capsys,
-        "bouquets",
-        "--find",
-        "--exhaustive-threshold",
-        "0",
-        "--gens",
-        GENS_PATH,
-    )
-    assert code == 0
-    assert out == "none found (heuristic search; not exhaustive)\n"
-
     code, out, _ = run(capsys, "bouquets", "--find", "--gens", GENS_PATH)
+    assert code == 0
+    assert out == "none found (search exhaustive)\n"
+
+    # 36 facets: no heuristic answers above 16, the search is exact at every size
+    pairs = list(itertools.combinations(range(24), 2))
+    edges = ", ".join(f"x{a}*x{b}" for a, b in random.Random(0).sample(pairs, 36))
+    code, out, _ = run(capsys, "bouquets", "--find", "--gens", edges)
     assert code == 0
     assert out == "none found (search exhaustive)\n"
 
