@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import Iterable
 
-from .core import MonomialIdeal, SqfMonomial, mask_sort_key
+from .core import MonomialIdeal, SqfMonomial
 from .errors import OutOfRange, ParseError, SizeLimitExceeded
 from .homology import (
     DEFAULT_FACE_CAP,
@@ -25,11 +24,13 @@ class BettiTable:
     total degree, graded[(i, j)] = sum of multigraded[(i, m)] over
     deg m = j.  t maps a in 1..pd to max{j : graded[(a, j)] > 0}.
 
-    nonzero(i) lists the multidegrees m with beta_{i,m} != 0 in lattice
-    order, and format_betti_json writes from those lists.  betti_table
-    hands them in as it walks the lattice; for a table built from a bare
-    dict they are made on first use, with one sort.  The complement
-    witness search keeps its per-degree bitset index in
+    multigraded is in lattice order, the one order of a table: its keys
+    come with their m in the canonical order (SqfMonomial.sort_key), as
+    betti_table's walk over LCM(I) reaches them.  nonzero(i) and
+    format_betti_json read that order as it is and sort nothing, so a
+    table built by hand must insert its entries in it too.  nonzero(i)
+    keeps its per-degree lists, read off multigraded on first use, and
+    the complement witness search its per-degree bitset index in
     ``_witness_index`` (see search_complement_witnesses).  Both are built
     once per table and never rebuilt, so a table must not be changed
     once built.
@@ -54,7 +55,6 @@ class BettiTable:
         graded: dict[tuple[int, int], int],
         pd: int,
         t: dict[int, int],
-        nonzero: dict[int, list[SqfMonomial]] | None = None,
     ):
         self.ideal = ideal
         self.field = field
@@ -62,15 +62,16 @@ class BettiTable:
         self.graded = graded
         self.pd = pd
         self.t = t
-        self._nonzero = nonzero
+        self._nonzero: dict[int, list[SqfMonomial]] | None = None
         self._witness_index: dict = {}
 
     def nonzero(self, i: int) -> list[SqfMonomial]:
         """The m with beta_{i,m} != 0, in lattice order (do not mutate)."""
         if self._nonzero is None:
-            self._nonzero = _by_degree(
-                key for key, rank in self.multigraded.items() if rank
-            )
+            self._nonzero = {}
+            for (d, m), rank in self.multigraded.items():
+                if rank:
+                    self._nonzero.setdefault(d, []).append(m)
         return self._nonzero.get(i, [])
 
     def totals(self) -> tuple[int, ...]:
@@ -85,16 +86,6 @@ class BettiTable:
             f"BettiTable(pd={self.pd}, totals={self.totals()}, "
             f"field={self.field.label})"
         )
-
-
-def _by_degree(
-    keys: Iterable[tuple[int, SqfMonomial]],
-) -> dict[int, list[SqfMonomial]]:
-    """The m of the (i, m) keys, listed per i in the canonical order."""
-    by_degree: dict[int, list[SqfMonomial]] = {}
-    for _, i, m in sorted((mask_sort_key(m.mask), i, m) for i, m in keys):
-        by_degree.setdefault(i, []).append(m)
-    return by_degree
 
 
 def multigraded_betti(
@@ -134,10 +125,11 @@ def betti_table(
     Only lattice elements can carry nonzero multigraded ranks, so the
     iteration is over LCM(I) rather than all 2^n square-free monomials.
     The walk is over the masks of the lattice search, in the canonical
-    order, and makes a SqfMonomial only for a multidegree it records,
-    one with a nonzero Betti number.  An element m whose generators
-    below it are exactly its lattice witness, k of them, is a Boolean
-    interval and runs no collapse: the witness is a shortest tuple
+    order, so multigraded comes out in lattice order (see BettiTable).
+    It makes a SqfMonomial only for a multidegree it records, one with a
+    nonzero Betti number.  An element m whose generators below it are
+    exactly its lattice witness, k of them, is a Boolean interval and
+    runs no collapse: the witness is a shortest tuple
     joining to m, so each of its generators holds a variable that no
     other one holds, or the tuple without it would join to m too.  A set
     of them then joins to m iff it holds all k, and the faces below m
@@ -157,7 +149,6 @@ def betti_table(
     one = SqfMonomial()  # the bottom, elements[0]
     multigraded = {(0, one): 1}
     graded = {(0, 0): 1}
-    nonzero: dict[int, list[SqfMonomial]] = {0: [one]}
     # the lattice runs by degree, so the last degree met in i is t_i; the
     # least degree of beta_i rises strictly with i, so t's keys come in
     # increasing order
@@ -182,10 +173,9 @@ def betti_table(
         for d, rank in homology:
             i = d + 2
             multigraded[(i, m)] = rank
-            nonzero.setdefault(i, []).append(m)
             graded[(i, j)] = graded.get((i, j), 0) + rank
             t[i] = j
-    return BettiTable(I, field, multigraded, graded, max(t, default=0), t, nonzero)
+    return BettiTable(I, field, multigraded, graded, max(t, default=0), t)
 
 
 def t_max(table: BettiTable, a: int) -> int:
@@ -290,22 +280,13 @@ def format_betti_json(table: BettiTable) -> str:
     row of up to 16 strings, entry d joining the items of the set bits of
     d in bit order.  A monomial's name array is the row entries of its
     mask's digits, joined, with the first comma dropped (``[]`` for the
-    mask 0).
-    The walk takes a 16-bit word, four digits, at a time and jumps over
-    empty words by the lowest set bit, so an array costs time in the
-    mask's nonzero words, not in the number of variables.  The
-    multigraded entries are read per degree from nonzero(i), which is in
-    the canonical order already; only a table built from a bare dict with
-    rank-0 entries, which nonzero(i) leaves out, has its entries sorted
-    here.
+    mask 0).  The walk takes a 16-bit word, four digits, at a time, up to
+    the mask's highest set bit; the entry of the digit 0 is "", so an
+    empty word adds nothing.  The multigraded entries are written in one
+    pass over ``multigraded``, grouped by degree: the table's lattice
+    order (see BettiTable) is the canonical order within each degree.
     """
     names = [encode_basestring_ascii(v) for v in table.ideal.vars.names]
-    multigraded = table.multigraded
-    table.nonzero(0)  # makes the lists of a table built from a bare dict
-    lists = table._nonzero
-    if sum(map(len, lists.values())) != len(multigraded):
-        # rank-0 entries, which a bare dict may hold and nonzero leaves out
-        lists = _by_degree(multigraded)
     # rows[k][d]: the items of the set bits of the digit d at bits 4k..4k+3,
     # joined from those of its two 2-bit halves; three empty rows at the
     # end, so that every 16-bit word of a mask has four rows
@@ -315,28 +296,23 @@ def format_betti_json(table: BettiTable) -> str:
         [lo + hi for hi in high for lo in low]
         for low, high in zip(halves[::2], halves[1::2] + [("",)])
     ] + [[""]] * 3
-    multi = []
-    for i in sorted(lists):
-        head = f'{{\n      "i": {i},\n      "monomial": '
-        for m in lists[i]:
-            mask = m.mask
-            array = ""
-            k = 0  # the low 16 bits of mask are the digits of rows k..k+3
-            while mask:
-                w = mask & 0xFFFF
-                if w:
-                    array += rows[k][w & 15] + rows[k + 1][w >> 4 & 15]
-                    array += rows[k + 2][w >> 8 & 15] + rows[k + 3][w >> 12]
-                    mask >>= 16
-                    k += 4
-                else:  # on to the next 16-bit word with a set bit
-                    skip = (mask & -mask).bit_length() - 1 >> 4
-                    mask >>= skip << 4
-                    k += skip << 2
-            monomial = f"[{array[1:]}\n      ]" if array else "[]"
-            multi.append(
-                f'{head}{monomial},\n      "rank": {multigraded[(i, m)]}\n    }}'
-            )
+    by_degree: dict[int, list[str]] = {}
+    for (i, m), rank in table.multigraded.items():
+        mask = m.mask
+        array = ""
+        k = 0  # the low 16 bits of mask are the digits of rows k..k+3
+        while mask:
+            w = mask & 0xFFFF
+            array += rows[k][w & 15] + rows[k + 1][w >> 4 & 15]
+            array += rows[k + 2][w >> 8 & 15] + rows[k + 3][w >> 12]
+            mask >>= 16
+            k += 4
+        monomial = f"[{array[1:]}\n      ]" if array else "[]"
+        by_degree.setdefault(i, []).append(
+            f'{{\n      "i": {i},\n      "monomial": {monomial},\n'
+            f'      "rank": {rank}\n    }}'
+        )
+    multi = [entry for i in sorted(by_degree) for entry in by_degree[i]]
     graded = [
         f'{{\n      "i": {i},\n      "j": {j},\n      "rank": {rank}\n    }}'
         for (i, j), rank in sorted(table.graded.items())

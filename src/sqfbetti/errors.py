@@ -80,7 +80,10 @@ class SizeLimitExceeded(SqfBettiError):
     """A configured cap (lattice size, face count, search budget) was hit.
 
     ``partial`` holds whatever results were complete when the search was
-    abandoned; it is never a complete answer.
+    abandoned; it is never a complete answer.  The face cap of a single
+    complex (taylor_faces_below, homology_below, multigraded_betti)
+    raises with ``partial`` None; betti_table attaches the entries it
+    finished.
     """
 
     def __init__(self, message: str, partial=None):

@@ -189,9 +189,6 @@ class ChainComplexRanks:
         self.homology_ranks = homology_ranks
         self.field = field
 
-    def c(self, d: int) -> int:
-        return self.face_counts.get(d, 0)
-
     def r(self, d: int) -> int:
         return self.boundary_ranks.get(d, 0)
 

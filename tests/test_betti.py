@@ -28,9 +28,9 @@ from sqfbetti import (
     taylor_faces_below,
     reduced_homology_ranks,
 )
-from sqfbetti.betti import BettiTable
 from sqfbetti.errors import OutOfRange, ParseError, SizeLimitExceeded, SqfBettiError
 
+import betti_golden
 from betti_dict import betti_dict
 from conftest import mk, random_sqf_ideal
 
@@ -357,42 +357,20 @@ def test_json_writer_matches_stdlib_on_a_wide_table():
     assert_stdlib_json(betti_table(normalize_generators(runs, vars)))
 
 
-def test_json_writer_ignores_table_insertion_order(triangle_tail_table):
-    table = triangle_tail_table
-    reverse = BettiTable(
-        table.ideal,
-        table.field,
-        dict(reversed(table.multigraded.items())),
-        dict(reversed(table.graded.items())),
-        table.pd,
-        dict(reversed(table.t.items())),
-    )
-    assert format_betti_json(reverse) == format_betti_json(table)
-    assert_stdlib_json(reverse)
-
-
-def test_json_writer_keeps_bare_dict_tables(three_brooms, three_brooms_table):
-    # tables built from bare dicts: the entries in reversed insertion
-    # order, and with rank-0 entries, which nonzero(i) leaves out but
-    # the text keeps; one sits among degree 2's entries, one is alone in
-    # a degree past pd
-    table = three_brooms_table
-    items = list(reversed(table.multigraded.items()))
-    reverse = BettiTable(
-        table.ideal, table.field, dict(items), table.graded, table.pd, table.t
-    )
-    zero = next(
-        m for m in build_lattice(three_brooms) if (2, m) not in table.multigraded
-    )
-    items.insert(len(items) // 2, ((2, zero), 0))
-    items.append(((table.pd + 1, three_brooms.top()), 0))
-    with_zeros = BettiTable(
-        table.ideal, table.field, dict(items), table.graded, table.pd, table.t
-    )
-    assert with_zeros.nonzero(2) == reverse.nonzero(2)
-    for bare in (reverse, with_zeros):
-        assert_stdlib_json(bare)
-    assert '"rank": 0' in format_betti_json(with_zeros)
+@pytest.mark.parametrize("field", [RATIONALS, FieldSpec(2)], ids=["QQ", "GF2"])
+def test_tables_are_read_in_their_insertion_order(field):
+    # betti_table inserts the entries in lattice order, the table's one
+    # order: nonzero(i) and the JSON writer read it without sorting
+    inputs = betti_golden.load_inputs()
+    for gens in [*inputs.FIXED.values(), *inputs.random_ideals(1)]:
+        I = parse_ideal_text("\n".join(gens))
+        table = betti_table(I, field)
+        for i in range(table.pd + 1):
+            keys = [m for d, m in table.multigraded if d == i]
+            ordered = sorted(keys, key=SqfMonomial.sort_key)
+            assert table.nonzero(i) == ordered, (gens, i)
+            assert keys == ordered, (gens, i)
+        assert_stdlib_json(table)
 
 
 def test_json_writer_sorts_t_keys_as_strings():
@@ -408,8 +386,6 @@ def test_json_writer_sorts_t_keys_as_strings():
 def test_tables_match_the_pinned_digests():
     # every table of the benchmark's seed-1 random ideals over QQ, GF(2)
     # and GF(3), entry for entry and in insertion order (tests/betti_golden.py)
-    import betti_golden
-
     pinned = json.loads(betti_golden.GOLDEN.read_text())
     assert pinned["seed"] == betti_golden.SEED
     assert betti_golden.differences(pinned["tables"], betti_golden.digests()) == []
