@@ -26,7 +26,9 @@ class BettiTable:
 
     multigraded is in lattice order, the one order of a table: its keys
     come with their m in the canonical order (SqfMonomial.sort_key), as
-    betti_table's walk over LCM(I) reaches them.  nonzero(i) and
+    betti_table's walk over LCM(I) reaches them, and the keys of one m
+    in increasing i.  graded and t are in the order in which that walk
+    first writes each key.  nonzero(i) and
     format_betti_json read that order as it is and sort nothing, so a
     table built by hand must insert its entries in it too.  nonzero(i)
     keeps its per-degree lists, read off multigraded on first use, and
@@ -125,8 +127,8 @@ def betti_table(
     Only lattice elements can carry nonzero multigraded ranks, so the
     iteration is over LCM(I) rather than all 2^n square-free monomials.
     The walk is over the masks of the lattice search, in the canonical
-    order, so multigraded comes out in lattice order (see BettiTable).
-    It makes a SqfMonomial only for a multidegree it records, one with a
+    order, so multigraded comes out in lattice order and, within one
+    multidegree, in increasing i (see BettiTable).  It makes a SqfMonomial only for a multidegree it records, one with a
     nonzero Betti number.  An element m whose generators below it are
     exactly its lattice witness, k of them, is a Boolean interval and
     runs no collapse: the witness is a shortest tuple

@@ -316,7 +316,9 @@ def homology_below(
 
     The same ranks as reduced_homology_ranks(taylor_faces_below(I, m)),
     computed from a collapsed model by _rows_homology on the rows
-    r_g = m minus g of the generators g | m.
+    r_g = m minus g of the generators g | m, with the keys in
+    increasing d on every path, so betti_table writes the degrees of
+    one multidegree in increasing i.
     m = 1 gives the Void complex: no homology at all.
     """
     if m.is_one:
@@ -330,9 +332,10 @@ def homology_below(
 def _rows_homology(rows: list[int], p: int | None, cap: int) -> dict[int, int]:
     """Nonzero reduced homology {d: h_d} of the union of the D_x of the rows.
 
-    rows are the r_g = m minus g of the generators g | m, for some
-    m != 1; two or more of them form an antichain of distinct nonzero
-    masks, since r_a is in r_b iff g_b | g_a.  _collapse runs the three
+    The keys come in increasing d.  rows are the r_g = m minus g of the
+    generators g | m, for some m != 1; two or more of them form an
+    antichain of distinct nonzero masks, since r_a is in r_b iff
+    g_b | g_a.  _collapse runs the three
     rules of the module docstring.  A remainder with no variable in
     three rows is a graph, read off by _graph_homology; _finish grows
     and eliminates any other remainder, on the Taylor rows or on their
@@ -475,11 +478,13 @@ def _dual_homology(
 
     used is U, the union of the rows.  Degree e of D' is degree
     |U| - e - 3 of the rows (nerve lemma and Alexander duality; see the
-    module docstring).  It holds for any rows, collapsed or not.
+    module docstring).  It holds for any rows, collapsed or not.  The
+    degrees come out in increasing d, as on every other path, so the
+    layers of D' are read from the top down.
     """
     n = used.bit_count()
     homology = _layer_ranks(_grow_dual(rows, used, cap), p)[2]
-    return {n - 3 - e: h for e, h in homology.items() if h}
+    return {n - 3 - e: h for e, h in reversed(homology.items()) if h}
 
 
 def _boundary_columns(
