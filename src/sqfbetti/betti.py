@@ -1,4 +1,36 @@
-"""Multigraded and graded Betti tables, t_a, and the m2-style printer."""
+"""Multigraded and graded Betti tables, t_a, and the m2-style printer.
+
+A table of an ideal whose generators fall into blocks in disjoint
+variables, I = I_1 + ... + I_k, is the product of the blocks' tables.
+Write S_j for the polynomial ring in block j's variables, so that
+S = S_1 (x) ... (x) S_k over the field and S/I = S_1/I_1 (x) ... (x)
+S_k/I_k.
+
+- The lcm lattice is a product.  A set of generators is the union of
+  its parts in each block, and its lcm is the product of their lcms,
+  whose supports are disjoint; each lcm of parts is one of its block's
+  lattice.  So LCM(I) = LCM(I_1) x ... x LCM(I_k), and m = m_1...m_k
+  with m_j the part of m in block j's variables.
+- The resolution is a tensor product.  Let F_j be the minimal free
+  resolution of S_j/I_j.  The tensor product F_1 (x) ... (x) F_k over
+  the field is a complex of free S-modules whose homology is, by the
+  Kuenneth formula over a field, the tensor product of the homologies:
+  S/I in degree 0 and nothing else, so it resolves S/I.  Its
+  differentials map into the maximal ideal, as each F_j's do, so it is
+  minimal, and its free module in homological degree i and multidegree
+  m is the sum over a_1 + ... + a_k = i of the tensor products of the
+  F_j's in degree a_j and multidegree m_j.  Hence, over every field,
+  beta_(i, m) = sum over a_1 + ... + a_k = i of prod_j beta_(a_j, m_j).
+- The ranks are nonnegative, so m carries a nonzero rank iff every m_j
+  does: the nonzero multidegrees of I are the products of one nonzero
+  multidegree per block, the bottom among them (beta_(0, 1) = 1).
+- The mirror of a product is the OR of the mirrors.  The lattice sorts
+  its elements by degree, then by the mirror, the mask's bits reversed
+  in a fixed width (lattice._lattice_masks).  The factors' masks have
+  disjoint bits, so their mirrors do too, and the product's degree and
+  mirror are the sum of theirs.  One sort of the products by this key
+  puts them in lattice order with no walk over the product lattice.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +46,7 @@ from .homology import (
     _rows_homology,
     homology_below,
 )
-from .lattice import DEFAULT_LATTICE_CAP, _lattice_masks, in_lattice
+from .lattice import _REVERSE_BITS, DEFAULT_LATTICE_CAP, _lattice_masks, in_lattice
 
 
 class BettiTable:
@@ -122,34 +154,101 @@ def betti_table(
     lattice_cap: int = DEFAULT_LATTICE_CAP,
     face_cap: int = DEFAULT_FACE_CAP,
 ) -> BettiTable:
-    """The full Betti table, iterating multidegrees over LCM(I).
+    """The full Betti table, from a walk over LCM(I) per block.
+
+    The generators are first sorted into blocks that share no variable
+    (_blocks).  A connected ideal is one block, and its table is the
+    walk over LCM(I) (_walk).  Several blocks are each walked on their
+    own generators, and the table is the product of theirs (_product;
+    proof in the module docstring).  Either way multigraded comes out in
+    lattice order and, within one multidegree, in increasing i, and
+    graded and t in the order the walk over the whole LCM(I) would
+    first write their keys (see BettiTable).
+
+    lattice_cap bounds the elements that each block's lattice search
+    finds and, for two or more blocks, the multidegrees of the product,
+    the product over the blocks of their nonzero multidegrees, which is
+    known before any is written.  Both are at most |LCM(I)|.  face_cap
+    bounds the faces actually grown for one multidegree of a block's
+    walk (see _walk).  When a cap is hit, the SizeLimitExceeded carries
+    entries (i, m) -> rank of the whole table, in lattice order: those
+    of the multidegrees finished before the cap, the bottom's
+    (0, 1) -> 1 at least.  With several blocks, every entry of a block
+    is an entry of the table, the other blocks sitting at their bottom,
+    so the partial holds the entries of every block walked so far.
+    """
+    blocks = _blocks([g.mask for g in I.gens])
+    if len(blocks) == 1:
+        multigraded, graded, t = _walk(blocks[0], field.p, lattice_cap, face_cap)
+    else:
+        multigraded, graded, t = _product(blocks, field.p, lattice_cap, face_cap)
+    return BettiTable(I, field, multigraded, graded, max(t, default=0), t)
+
+
+def _blocks(masks: list[int]) -> list[list[int]]:
+    """The generator masks in blocks that share no variable.
+
+    One pass joins the variables of each generator to every part it
+    meets, as _graph_homology joins its rows.  One part gives [masks]
+    itself.  Otherwise each block lists its generators in their order,
+    and the blocks come in the order of their first generators.
+    """
+    parts: list[int] = []  # the variables of each block of the masks so far
+    for g in masks:
+        joined, apart = g, []
+        for c in parts:
+            if c & g:
+                joined |= c
+            else:
+                apart.append(c)
+        apart.append(joined)
+        parts = apart
+    if len(parts) == 1:
+        return [masks]
+    blocks: dict[int, list[int]] = {}
+    for g in masks:
+        for c in parts:
+            if c & g:
+                blocks.setdefault(c, []).append(g)
+                break
+    return list(blocks.values())
+
+
+def _walk(
+    masks: list[int], p: int | None, lattice_cap: int, face_cap: int
+) -> tuple[dict, dict[tuple[int, int], int], dict[int, int]]:
+    """multigraded, graded and t of the generators masks, over LCM.
 
     Only lattice elements can carry nonzero multigraded ranks, so the
-    iteration is over LCM(I) rather than all 2^n square-free monomials.
-    The walk is over the masks of the lattice search, in the canonical
-    order, so multigraded comes out in lattice order and, within one
-    multidegree, in increasing i (see BettiTable).  It makes a SqfMonomial only for a multidegree it records, one with a
+    iteration is over the lcm lattice rather than all 2^n square-free
+    monomials.  The walk is over the masks of the lattice search, in the
+    canonical order, so multigraded comes out in lattice order, and the
+    homology of each multidegree comes in increasing d (homology_below).
+    It makes a SqfMonomial only for a multidegree it records, one with a
     nonzero Betti number.  An element m whose generators below it are
     exactly its lattice witness, k of them, is a Boolean interval and
-    runs no collapse: the witness is a shortest tuple
-    joining to m, so each of its generators holds a variable that no
-    other one holds, or the tuple without it would join to m too.  A set
-    of them then joins to m iff it holds all k, and the faces below m
-    are the proper subsets of k vertices: a (k-2)-sphere, or {empty
-    face} for k = 1, so beta_(k, m) = 1 over every field and no other
-    degree is nonzero.  face_cap bounds the faces actually grown for
-    one multidegree: those of the complex that homology_below grows
-    after collapsing, on the Taylor rows or on their Stanley-Reisner
-    complex, whichever bounds fewer faces.  A remainder with no variable
-    in three rows is read as a graph and grows none, so it never
-    reaches the cap (see the homology module docstring).  If a complex
-    exceeds it, the SizeLimitExceeded carries the multigraded entries
-    (i, m) -> rank of the multidegrees finished before it.
+    runs no collapse: the witness is a shortest tuple joining to m, so
+    each of its generators holds a variable that no other one holds, or
+    the tuple without it would join to m too.  A set of them then joins
+    to m iff it holds all k, and the faces below m are the proper
+    subsets of k vertices: a (k-2)-sphere, or {empty face} for k = 1, so
+    beta_(k, m) = 1 over every field and no other degree is nonzero.
+    face_cap bounds the faces actually grown for one multidegree: those
+    of the complex that homology_below grows after collapsing, on the
+    Taylor rows or on their Stanley-Reisner complex, whichever bounds
+    fewer faces.  A remainder with no variable in three rows is read as
+    a graph and grows none, so it never reaches the cap (see the
+    homology module docstring).  If a complex exceeds it, the
+    SizeLimitExceeded carries the multigraded entries of the
+    multidegrees finished before it; if the lattice exceeds lattice_cap,
+    it carries the bottom's alone.
     """
-    masks = [g.mask for g in I.gens]
-    elements, witness = _lattice_masks(masks, lattice_cap)
     one = SqfMonomial()  # the bottom, elements[0]
     multigraded = {(0, one): 1}
+    try:
+        elements, witness = _lattice_masks(masks, lattice_cap)
+    except SizeLimitExceeded as e:
+        raise SizeLimitExceeded(str(e), partial=multigraded) from None
     graded = {(0, 0): 1}
     # the lattice runs by degree, so the last degree met in i is t_i; the
     # least degree of beta_i rises strictly with i, so t's keys come in
@@ -165,7 +264,7 @@ def betti_table(
             homology = ((k - 2, 1),)
         else:
             try:
-                homology = _rows_homology(rows, field.p, face_cap).items()
+                homology = _rows_homology(rows, p, face_cap).items()
             except SizeLimitExceeded as e:
                 raise SizeLimitExceeded(str(e), partial=multigraded) from None
             if not homology:
@@ -177,7 +276,104 @@ def betti_table(
             multigraded[(i, m)] = rank
             graded[(i, j)] = graded.get((i, j), 0) + rank
             t[i] = j
-    return BettiTable(I, field, multigraded, graded, max(t, default=0), t)
+    return multigraded, graded, t
+
+
+def _product(
+    blocks: list[list[int]], p: int | None, lattice_cap: int, face_cap: int
+) -> tuple[dict, dict[tuple[int, int], int], dict[int, int]]:
+    """multigraded, graded and t of the sum of the blocks, from their walks.
+
+    Each block's nonzero multidegrees, its bottom among them, are read
+    off its walk with their ranks by degree.  Every tuple of them, one
+    per block, is a multidegree of the sum, whose ranks are the
+    convolution of the factors' (module docstring).  The tuples are put
+    in lattice order by the lattice's sort key, degree then mirror (see
+    lattice._lattice_masks), of which each factor carries its share:
+    ((degree << w) - mirror) << w | mask, in the width w of the whole
+    ideal.  The factors' masks and mirrors have disjoint bits and their
+    degrees add, so a product's share is the sum of its factors', and it
+    differs from the lattice's key by a constant.  The tuples are
+    written in that order, as _walk writes its elements.
+
+    Each walk is capped as _walk caps it, and the product by the count
+    of its multidegrees.  A cap carries the entries of every block
+    walked so far, the one that hit it included, in lattice order.
+    """
+    nbytes = max(1, -(-max(max(masks) for masks in blocks).bit_length() // 8))
+    w = 8 * nbytes
+    tables: list[dict] = []
+    for masks in blocks:
+        try:
+            tables.append(_walk(masks, p, lattice_cap, face_cap)[0])
+        except SizeLimitExceeded as e:
+            raise SizeLimitExceeded(str(e), partial=_merged(tables + [e.partial])) from None
+    count = 1
+    factors = []
+    for table in tables:
+        factor = []  # (share of the key, ranks) per nonzero multidegree
+        last = -1
+        for (i, m), rank in table.items():
+            f = m.mask
+            if f == last:  # the degrees of one multidegree are adjacent
+                ranks.append((i, rank))
+                continue
+            last = f
+            ranks = [(i, rank)]
+            rf = int.from_bytes(f.to_bytes(nbytes, "little").translate(_REVERSE_BITS), "big")
+            factor.append(((((f.bit_count() << w) - rf) << w) + f, ranks))
+        factors.append(factor)
+        count *= len(factor)
+    if count > lattice_cap:
+        raise SizeLimitExceeded(
+            f"Betti table exceeds lattice cap {lattice_cap}: "
+            f"{count} multidegrees in the product of {len(blocks)} blocks",
+            partial=_merged(tables),
+        )
+    product = factors[0]
+    for factor in factors[1:]:
+        product = [
+            (key + share, _convolve(ranks, more) if share else ranks)
+            for key, ranks in product
+            for share, more in factor
+        ]
+    product.sort()  # the keys are distinct, so no ranks are compared
+    ones = (1 << w) - 1
+    multigraded = {(0, SqfMonomial()): 1}  # the product of the bottoms
+    graded = {(0, 0): 1}
+    t: dict[int, int] = {}
+    for key, ranks in islice(product, 1, None):
+        top = key & ones
+        m = SqfMonomial(top)
+        j = top.bit_count()
+        for i, rank in ranks:
+            multigraded[(i, m)] = rank
+            graded[(i, j)] = graded.get((i, j), 0) + rank
+            t[i] = j
+    return multigraded, graded, t
+
+
+def _convolve(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list:
+    """The ranks of a tensor product: c_k = sum of a_i b_j over i + j = k.
+
+    a and b list (degree, rank) in increasing degree, and so does the
+    result.  Most multidegrees have one degree, and skip the sum.
+    """
+    if len(a) == 1 == len(b):
+        ((i, ra),) = a
+        ((j, rb),) = b
+        return [(i + j, ra * rb)]
+    c: dict[int, int] = {}
+    for i, ra in a:
+        for j, rb in b:
+            c[i + j] = c.get(i + j, 0) + ra * rb
+    return sorted(c.items())
+
+
+def _merged(tables: list[dict]) -> dict:
+    """The entries of some blocks' tables as one dict, in lattice order."""
+    entries = {key: rank for table in tables for key, rank in table.items()}
+    return dict(sorted(entries.items(), key=lambda e: (e[0][1].sort_key(), e[0][0])))
 
 
 def t_max(table: BettiTable, a: int) -> int:

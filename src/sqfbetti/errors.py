@@ -82,8 +82,11 @@ class SizeLimitExceeded(SqfBettiError):
     ``partial`` holds whatever results were complete when the search was
     abandoned; it is never a complete answer.  The face cap of a single
     complex (taylor_faces_below, homology_below, multigraded_betti)
-    raises with ``partial`` None; betti_table attaches the entries it
-    finished.
+    raises with ``partial`` None.  betti_table attaches the entries
+    (i, m) -> rank it finished, in lattice order, under either cap: its
+    lattice cap counts the elements of each block's lattice and the
+    multidegrees of the product of the blocks' tables.  build_lattice
+    attaches the lattice elements found so far.
     """
 
     def __init__(self, message: str, partial=None):

@@ -29,6 +29,7 @@ from sqfbetti import (
     reduced_homology_ranks,
 )
 from sqfbetti.errors import OutOfRange, ParseError, SizeLimitExceeded, SqfBettiError
+from sqfbetti.homology import homology_below
 
 import betti_golden
 from betti_dict import betti_dict
@@ -389,3 +390,179 @@ def test_tables_match_the_pinned_digests():
     pinned = json.loads(betti_golden.GOLDEN.read_text())
     assert pinned["seed"] == betti_golden.SEED
     assert betti_golden.differences(pinned["tables"], betti_golden.digests()) == []
+
+
+# ---------------------------------------------------------------------------
+# tables of split ideals: the product of the blocks' tables
+
+
+def disjoint_sum(ideals, rng):
+    """The sum of the ideals in disjoint variables, shuffled together.
+
+    Each ideal keeps its generators on fresh variables, and the
+    variables of all of them are numbered in a shuffled order, so the
+    blocks interleave in the canonical order of monomials.
+    """
+    names = [(k, x) for k, I in enumerate(ideals) for x in range(len(I.vars.names))]
+    rng.shuffle(names)
+    index = {name: pos for pos, name in enumerate(names)}
+    gens = [
+        SqfMonomial.from_indices([index[(k, x)] for x in g.indices()])
+        for k, I in enumerate(ideals)
+        for g in I.gens
+    ]
+    return normalize_generators(gens, VariableTable([f"v{pos}" for pos in range(len(names))]))
+
+
+def lattice_walk(I, field):
+    """multigraded, graded and t from the homology below every element of
+    the whole lcm lattice, in lattice order and increasing d: an oracle
+    that knows nothing of blocks or of the product rule."""
+    multigraded, graded, t = {}, {}, {}
+    for m in build_lattice(I).elements:
+        homology = {-2: 1} if m.is_one else homology_below(I, m, field)
+        j = m.degree
+        for d in sorted(homology):
+            i = d + 2
+            multigraded[(i, m)] = homology[d]
+            graded[(i, j)] = graded.get((i, j), 0) + homology[d]
+            if i:
+                t[i] = j
+    return multigraded, graded, t
+
+
+def assert_is_the_lattice_walk(I, field):
+    table = betti_table(I, field)
+    multigraded, graded, t = lattice_walk(I, field)
+    assert list(table.multigraded.items()) == list(multigraded.items())
+    assert list(table.graded.items()) == list(graded.items())
+    assert list(table.t.items()) == list(t.items())
+    assert table.pd == max(t, default=0)
+    return table
+
+
+def split_sums():
+    """Pairs and triples of the benchmark's fixed ideals and of its random
+    ideals at seeds 1 to 3, whose product lattices have at most 3 000
+    elements: every such pair or triple of the fixed ideals, and 40 drawn
+    from the first 100 random ideals of each seed."""
+    inputs = betti_golden.load_inputs()
+    fixed = [
+        parse_ideal_text("\n".join(gens))
+        for name, gens in inputs.FIXED.items()
+        if name not in ("stars16", "cycle12")
+    ]
+    small = [
+        parse_ideal_text("\n".join(gens))
+        for seed in (1, 2, 3)
+        for gens in inputs.random_ideals(seed)[:100]
+    ]
+    size = {id(I): len(build_lattice(I)) for I in fixed + small}
+
+    def fits(parts):
+        product = 1
+        for I in parts:
+            product *= size[id(I)]
+        return product <= 3000
+
+    rng = random.Random(0)
+    sums = [
+        disjoint_sum(parts, rng)
+        for k in (2, 3)
+        for parts in combinations(fixed, k)
+        if fits(parts)
+    ]
+    drawn = 0
+    while drawn < 40:
+        parts = rng.sample(fixed + small, 2 + drawn % 2)
+        if fits(parts):
+            sums.append(disjoint_sum(parts, rng))
+            drawn += 1
+    return sums
+
+
+SPLIT_SUMS = split_sums()
+FIELDS = [RATIONALS, FieldSpec(2), FieldSpec(3)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["QQ", "GF2", "GF3"])
+def test_split_tables_are_the_lattice_walk(field):
+    # the product of the blocks' tables against the homology of every
+    # element of the product lattice, entry for entry and in insertion order
+    for I in SPLIT_SUMS:
+        assert_is_the_lattice_walk(I, field)
+
+
+def test_split_tables_convolve_several_degrees(triangle_tail):
+    # over GF(2) the top of rp2_6 has beta_3 = beta_4 = 1 and that of
+    # triangle_tail beta_4 = 2: their product carries two degrees, and
+    # rp2_6 + rp2_6 sums two terms at beta_7 of the top, 1*1 + 1*1
+    rp2 = parse_ideal_text("\n".join(RP2_6))
+    rng = random.Random(0)
+    GF2 = FieldSpec(2)
+    table = assert_is_the_lattice_walk(disjoint_sum([rp2, triangle_tail], rng), GF2)
+    top = table.ideal.top()
+    assert [(i, r) for (i, m), r in table.multigraded.items() if m == top] == [(7, 2), (8, 2)]
+    table = assert_is_the_lattice_walk(disjoint_sum([rp2, rp2], rng), GF2)
+    top = table.ideal.top()
+    assert [(i, r) for (i, m), r in table.multigraded.items() if m == top] == [
+        (6, 1),
+        (7, 2),
+        (8, 1),
+    ]
+
+
+def test_convolution_comes_in_increasing_degree():
+    # a factor whose degrees skip one: 0 + 2 comes before 1 + 0
+    from sqfbetti.betti import _convolve
+
+    assert _convolve([(0, 1), (1, 2)], [(0, 3), (2, 5)]) == [(0, 3), (1, 6), (2, 5), (3, 10)]
+    assert _convolve([(3, 1), (4, 1)], [(3, 1), (4, 1)]) == [(6, 1), (7, 2), (8, 1)]
+
+
+def test_split_table_lattice_cap_counts_blocks_and_product(three_brooms, three_brooms_table):
+    # blocks of 45 and 4 lattice elements with 37 and 4 nonzero
+    # multidegrees: the product has 148, while the product lattice has 180
+    full = list(three_brooms_table.multigraded.items())
+    assert len({m for _, m in three_brooms_table.multigraded}) == 148
+    assert list(betti_table(three_brooms, lattice_cap=148).multigraded.items()) == full
+    for cap in (147, 50):
+        with pytest.raises(SizeLimitExceeded, match="148 multidegrees") as e:
+            betti_table(three_brooms, lattice_cap=cap)
+        partial = e.value.partial
+        # every entry of the two blocks, each at the other's bottom
+        assert len(partial) == 37 + 4 - 1
+        assert partial.items() <= three_brooms_table.multigraded.items()
+        assert list(partial) == [key for key, _ in full if key in partial]
+    with pytest.raises(SizeLimitExceeded, match="lcm lattice exceeds cap 44") as e:
+        betti_table(three_brooms, lattice_cap=44)
+    assert e.value.partial == {(0, SqfMonomial()): 1}
+
+
+def test_lattice_cap_of_a_connected_table_carries_the_bottom(star_cluster):
+    with pytest.raises(SizeLimitExceeded, match="lcm lattice exceeds cap 2") as e:
+        betti_table(star_cluster, lattice_cap=2)
+    assert e.value.partial == {(0, SqfMonomial()): 1}
+
+
+# path3 on the first variables, so its block comes first, and star_cluster
+PATH3_STAR = mk(
+    "xy", "yz", "zu", "abc", "bcd", "cdf", "def", "eg", "fg", "gh", "hi", "gi", "fi", "gk", "gl"
+)
+
+
+def test_caps_of_a_split_table_carry_the_finished_blocks(star_cluster_table):
+    full = betti_table(PATH3_STAR)
+    path3 = {key: r for key, r in full.multigraded.items() if not key[1].mask & ~0b1111}
+    assert len(path3) == 6
+    with pytest.raises(SizeLimitExceeded, match="lcm lattice exceeds cap 100") as e:
+        betti_table(PATH3_STAR, lattice_cap=100)
+    assert e.value.partial == path3
+    assert list(e.value.partial) == list(path3)
+    # star_cluster's third remainder grows 6 faces
+    with pytest.raises(SizeLimitExceeded, match="face count exceeds cap 5") as e:
+        betti_table(PATH3_STAR, face_cap=5)
+    partial = e.value.partial
+    assert path3.items() < partial.items() <= full.multigraded.items()
+    assert list(partial) == [key for key in full.multigraded if key in partial]
+    assert len(partial) - len(path3) < len(star_cluster_table.multigraded) - 1

@@ -707,6 +707,11 @@ REMAINDERS = {
         ((13, 14, 19, 22, 25, 35, 37, 42, 52, 56), "dual", 32),
     ],
 }
+# betti_table walks each block of a split ideal on its own lattice, so
+# it eliminates only the remainders of the blocks' own elements: the
+# three other (1, 4, 16) of three_brooms sit at products with its
+# 2-generator block, whose ranks come from the product rule
+ELIMINATED = {**REMAINDERS, "three_brooms": [((1, 4, 16), "graph", 0)]}
 
 
 @pytest.mark.parametrize("name", sorted(REMAINDERS))
@@ -727,7 +732,7 @@ def test_collapse_remainders_are_pinned(name, eliminated, star_cluster, three_br
                 remainders.append(tuple(sorted(rows)))
     assert remainders == [rows for rows, _, _ in REMAINDERS[name]]
     betti_table(I)
-    assert eliminated == REMAINDERS[name]
+    assert eliminated == ELIMINATED[name]
 
 
 def graph_remainders(ideals):
