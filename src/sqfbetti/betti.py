@@ -188,30 +188,27 @@ def betti_table(
 def _blocks(masks: list[int]) -> list[list[int]]:
     """The generator masks in blocks that share no variable.
 
-    One pass joins the variables of each generator to every part it
-    meets, as _graph_homology joins its rows.  One part gives [masks]
-    itself.  Otherwise each block lists its generators in their order,
-    and the blocks come in the order of their first generators.
+    The block of the first generator grows by passes over the
+    generators not yet in it, each joining the variables of every
+    generator that meets the block so far, until a pass adds none.  A
+    connected ideal whose generators each meet an earlier one ends in
+    one pass, and any connected ideal is [masks] itself.  Otherwise each
+    block lists its generators in their order, and the blocks come in
+    the order of their first generators.
     """
-    parts: list[int] = []  # the variables of each block of the masks so far
-    for g in masks:
-        joined, apart = g, []
-        for c in parts:
-            if c & g:
-                joined |= c
+    reach, rest = masks[0], masks
+    while True:
+        left = []
+        for g in rest:
+            if g & reach:
+                reach |= g
             else:
-                apart.append(c)
-        apart.append(joined)
-        parts = apart
-    if len(parts) == 1:
-        return [masks]
-    blocks: dict[int, list[int]] = {}
-    for g in masks:
-        for c in parts:
-            if c & g:
-                blocks.setdefault(c, []).append(g)
-                break
-    return list(blocks.values())
+                left.append(g)
+        if not left:
+            return [masks]
+        if len(left) == len(rest):
+            return [[g for g in masks if g & reach], *_blocks(left)]
+        rest = left
 
 
 def _walk(
