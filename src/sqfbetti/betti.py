@@ -214,7 +214,7 @@ def _blocks(masks: list[int]) -> list[list[int]]:
 def _walk(
     masks: list[int], p: int | None, lattice_cap: int, face_cap: int
 ) -> tuple[dict, dict[tuple[int, int], int], dict[int, int]]:
-    """multigraded, graded and t of the generators masks, over LCM.
+    """multigraded, graded and t of the ideal of masks, from its lattice.
 
     Only lattice elements can carry nonzero multigraded ranks, so the
     iteration is over the lcm lattice rather than all 2^n square-free

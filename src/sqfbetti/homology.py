@@ -332,16 +332,15 @@ def homology_below(
 def _rows_homology(rows: list[int], p: int | None, cap: int) -> dict[int, int]:
     """Nonzero reduced homology {d: h_d} of the union of the D_x of the rows.
 
-    The keys come in increasing d.  rows are the r_g = m minus g of the
-    generators g | m, for some m != 1; two or more of them form an
-    antichain of distinct nonzero masks, since r_a is in r_b iff
-    g_b | g_a.  _collapse runs the three
+    rows are the r_g = m minus g of the generators g | m, for some
+    m != 1; two or more of them form an antichain of distinct nonzero
+    masks, since r_a is in r_b iff g_b | g_a.  _collapse runs the three
     rules of the module docstring.  A remainder with no variable in
     three rows is a graph, read off by _graph_homology; _finish grows
     and eliminates any other remainder, on the Taylor rows or on their
     Stanley-Reisner complex, whichever bounds fewer faces.  cap counts
     the faces actually grown, so a graph remainder, which grows none,
-    never reaches it.
+    never reaches it.  The keys come in increasing d on every path.
     """
     rows, shift = _collapse(rows)
     if len(rows) < 2:
