@@ -512,6 +512,18 @@ def test_split_tables_convolve_several_degrees(triangle_tail):
     ]
 
 
+def test_blocks_share_no_variable():
+    # c d joins the block of a b only through the later b c, in a second
+    # pass; e f stays apart.  Blocks keep their generators in order and
+    # come in the order of their first generators
+    from sqfbetti.betti import _blocks
+
+    a, b, c, d, e, f = (1 << k for k in range(6))
+    assert _blocks([a | b, c | d, b | c]) == [[a | b, c | d, b | c]]
+    assert _blocks([a | b, e | f, c | d, b | c]) == [[a | b, c | d, b | c], [e | f]]
+    assert _blocks([e | f, a | b, c | d]) == [[e | f], [a | b], [c | d]]
+
+
 def test_convolution_comes_in_increasing_degree():
     # a factor whose degrees skip one: 0 + 2 comes before 1 + 0
     from sqfbetti.betti import _convolve
