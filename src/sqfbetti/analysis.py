@@ -8,6 +8,8 @@ are nonzero in the split homological degrees.
 
 from __future__ import annotations
 
+import dataclasses
+
 from .betti import BettiTable, betti_table, t_max
 from .core import MonomialIdeal, SqfMonomial
 from .errors import OutOfRange, SqfBettiError
@@ -25,6 +27,7 @@ def _table_for(
     return table
 
 
+@dataclasses.dataclass(slots=True, eq=False, repr=False)
 class SubadditivityReport:
     """Exact subadditivity audit of one ideal over one field.
 
@@ -33,23 +36,12 @@ class SubadditivityReport:
     complement pairs certifying the inequality's degree bound.
     """
 
-    __slots__ = ("ideal", "field", "pd", "t", "violations", "witnesses")
-
-    def __init__(
-        self,
-        ideal: MonomialIdeal,
-        field: FieldSpec,
-        pd: int,
-        t: dict[int, int],
-        violations: list[tuple[int, int]],
-        witnesses: dict[tuple[int, int, int], list[tuple[SqfMonomial, SqfMonomial]]],
-    ):
-        self.ideal = ideal
-        self.field = field
-        self.pd = pd
-        self.t = t
-        self.violations = violations
-        self.witnesses = witnesses
+    ideal: MonomialIdeal
+    field: FieldSpec
+    pd: int
+    t: dict[int, int]
+    violations: list[tuple[int, int]]
+    witnesses: dict[tuple[int, int, int], list[tuple[SqfMonomial, SqfMonomial]]]
 
     @property
     def holds(self) -> bool:
@@ -178,6 +170,7 @@ def _degree_index(
     return index
 
 
+@dataclasses.dataclass(slots=True, eq=False, repr=False)
 class TopDegreeCheck:
     """t_a + t_b >= r evaluated where the top multidegree survives.
 
@@ -185,39 +178,15 @@ class TopDegreeCheck:
     or b exceeds the projective dimension.
     """
 
-    __slots__ = (
-        "i",
-        "a",
-        "b",
-        "r",
-        "applicable",
-        "holds",
-        "t_a",
-        "t_b",
-        "witnesses",
-    )
-
-    def __init__(
-        self,
-        i: int,
-        a: int,
-        b: int,
-        r: int,
-        applicable: bool,
-        holds: bool,
-        t_a: int | None,
-        t_b: int | None,
-        witnesses: list[tuple[SqfMonomial, SqfMonomial]],
-    ):
-        self.i = i
-        self.a = a
-        self.b = b
-        self.r = r
-        self.applicable = applicable
-        self.holds = holds
-        self.t_a = t_a
-        self.t_b = t_b
-        self.witnesses = witnesses
+    i: int
+    a: int
+    b: int
+    r: int
+    applicable: bool
+    holds: bool
+    t_a: int | None
+    t_b: int | None
+    witnesses: list[tuple[SqfMonomial, SqfMonomial]]
 
     def __repr__(self) -> str:
         if not self.applicable:

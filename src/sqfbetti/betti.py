@@ -26,7 +26,7 @@ S_k/I_k.
   multidegree per block, the bottom among them (beta_(0, 1) = 1).
 - The mirror of a product is the OR of the mirrors.  The lattice sorts
   its elements by degree, then by the mirror, the mask's bits reversed
-  in a fixed width (lattice._lattice_masks).  The factors' masks have
+  in a fixed width (lattice._mirrors).  The factors' masks have
   disjoint bits, so their mirrors do too, and the product's degree and
   mirror are the sum of theirs.  One sort of the products by this key
   puts them in lattice order with no walk over the product lattice.
@@ -34,11 +34,14 @@ S_k/I_k.
 
 from __future__ import annotations
 
+import dataclasses
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+from math import prod
+from typing import Sequence
 
-from .core import MonomialIdeal, SqfMonomial
-from .errors import OutOfRange, ParseError, SizeLimitExceeded
+from .core import MonomialIdeal, SqfMonomial, mask_sort_key
+from .errors import OutOfRange, SizeLimitExceeded
 from .homology import (
     DEFAULT_FACE_CAP,
     FieldSpec,
@@ -46,9 +49,10 @@ from .homology import (
     _rows_homology,
     homology_below,
 )
-from .lattice import _REVERSE_BITS, DEFAULT_LATTICE_CAP, _lattice_masks, in_lattice
+from .lattice import DEFAULT_LATTICE_CAP, _lattice_masks, _mirrors, in_lattice
 
 
+@dataclasses.dataclass(slots=True, eq=False, repr=False)
 class BettiTable:
     """Betti numbers of S/I over a fixed field.
 
@@ -70,34 +74,16 @@ class BettiTable:
     once built.
     """
 
-    __slots__ = (
-        "ideal",
-        "field",
-        "multigraded",
-        "graded",
-        "pd",
-        "t",
-        "_nonzero",
-        "_witness_index",
+    ideal: MonomialIdeal
+    field: FieldSpec
+    multigraded: dict[tuple[int, SqfMonomial], int]
+    graded: dict[tuple[int, int], int]
+    pd: int
+    t: dict[int, int]
+    _nonzero: dict[int, list[SqfMonomial]] | None = dataclasses.field(
+        default=None, init=False
     )
-
-    def __init__(
-        self,
-        ideal: MonomialIdeal,
-        field: FieldSpec,
-        multigraded: dict[tuple[int, SqfMonomial], int],
-        graded: dict[tuple[int, int], int],
-        pd: int,
-        t: dict[int, int],
-    ):
-        self.ideal = ideal
-        self.field = field
-        self.multigraded = multigraded
-        self.graded = graded
-        self.pd = pd
-        self.t = t
-        self._nonzero: dict[int, list[SqfMonomial]] | None = None
-        self._witness_index: dict = {}
+    _witness_index: dict = dataclasses.field(default_factory=dict, init=False)
 
     def nonzero(self, i: int) -> list[SqfMonomial]:
         """The m with beta_{i,m} != 0, in lattice order (do not mutate)."""
@@ -160,10 +146,12 @@ def betti_table(
     (_blocks).  A connected ideal is one block, and its table is the
     walk over LCM(I) (_walk).  Several blocks are each walked on their
     own generators, and the table is the product of theirs (_product;
-    proof in the module docstring).  Either way multigraded comes out in
-    lattice order and, within one multidegree, in increasing i, and
-    graded and t in the order the walk over the whole LCM(I) would
-    first write their keys (see BettiTable).
+    proof in the module docstring).  Either way the nonzero
+    multidegrees come in lattice order, and one writer, _write, turns
+    them into the table and a cap's partial: multigraded in lattice
+    order and, within one multidegree, in increasing i, and graded and t
+    in the order the walk over the whole LCM(I) would first write their
+    keys (see BettiTable).
 
     lattice_cap bounds the elements that each block's lattice search
     finds and, for two or more blocks, the multidegrees of the product,
@@ -178,10 +166,14 @@ def betti_table(
     so the partial holds the entries of every block walked so far.
     """
     blocks = _blocks([g.mask for g in I.gens])
-    if len(blocks) == 1:
-        multigraded, graded, t = _walk(blocks[0], field.p, lattice_cap, face_cap)
-    else:
-        multigraded, graded, t = _product(blocks, field.p, lattice_cap, face_cap)
+    try:
+        if len(blocks) == 1:
+            entries = _walk(blocks[0], field.p, lattice_cap, face_cap)
+        else:
+            entries = _product(blocks, field.p, lattice_cap, face_cap)
+    except SizeLimitExceeded as e:
+        raise SizeLimitExceeded(str(e), partial=_write(e.partial)[0]) from None
+    multigraded, graded, t = _write(entries)
     return BettiTable(I, field, multigraded, graded, max(t, default=0), t)
 
 
@@ -211,46 +203,70 @@ def _blocks(masks: list[int]) -> list[list[int]]:
         rest = left
 
 
+# a nonzero multidegree of a table: (mask, (i, rank) in increasing i)
+_Entry = tuple[int, Sequence[tuple[int, int]]]
+# the entry of the bottom 1: beta_(0, 1) = 1 and nothing else
+_BOTTOM: _Entry = (0, ((0, 1),))
+
+
+def _write(
+    entries: list[_Entry],
+) -> tuple[dict, dict[tuple[int, int], int], dict[int, int]]:
+    """multigraded, graded and t of a table's nonzero multidegrees.
+
+    entries lists the nonzero multidegrees in lattice order, the
+    bottom's _BOTTOM first, as _walk and _product return them.  The
+    lattice runs by degree, so the last degree met in i is t_i; the
+    least degree of beta_i rises strictly with i, so t's keys come in
+    increasing order.
+    """
+    multigraded = {(0, SqfMonomial()): 1}
+    graded = {(0, 0): 1}
+    t: dict[int, int] = {}
+    for mask, ranks in islice(entries, 1, None):
+        m = SqfMonomial(mask)
+        j = mask.bit_count()
+        for i, rank in ranks:
+            multigraded[(i, m)] = rank
+            graded[(i, j)] = graded.get((i, j), 0) + rank
+            t[i] = j
+    return multigraded, graded, t
+
+
 def _walk(
     masks: list[int], p: int | None, lattice_cap: int, face_cap: int
-) -> tuple[dict, dict[tuple[int, int], int], dict[int, int]]:
-    """multigraded, graded and t of the ideal of masks, from its lattice.
+) -> list[_Entry]:
+    """The nonzero multidegrees of the ideal of masks, from its lattice.
 
     Only lattice elements can carry nonzero multigraded ranks, so the
     iteration is over the lcm lattice rather than all 2^n square-free
     monomials.  The walk is over the masks of the lattice search, in the
-    canonical order, so multigraded comes out in lattice order, and the
-    homology of each multidegree comes in increasing d (homology_below).
-    It makes a SqfMonomial only for a multidegree it records, one with a
-    nonzero Betti number.  An element m whose generators below it are
-    exactly its lattice witness, k of them, is a Boolean interval and
-    runs no collapse: the witness is a shortest tuple joining to m, so
-    each of its generators holds a variable that no other one holds, or
-    the tuple without it would join to m too.  A set of them then joins
-    to m iff it holds all k, and the faces below m are the proper
-    subsets of k vertices: a (k-2)-sphere, or {empty face} for k = 1, so
-    beta_(k, m) = 1 over every field and no other degree is nonzero.
+    canonical order, and lists the entry of each element with a nonzero
+    Betti number, the bottom's _BOTTOM first, in lattice order, with the
+    homology of each multidegree in increasing d (homology_below).  An
+    element m whose generators below it are exactly its lattice witness,
+    k of them, is a Boolean interval and runs no collapse: the witness
+    is a shortest tuple joining to m, so each of its generators holds a
+    variable that no other one holds, or the tuple without it would join
+    to m too.  A set of them then joins to m iff it holds all k, and the
+    faces below m are the proper subsets of k vertices: a (k-2)-sphere,
+    or {empty face} for k = 1, so beta_(k, m) = 1 over every field and
+    no other degree is nonzero.
     face_cap bounds the faces actually grown for one multidegree: those
     of the complex that homology_below grows after collapsing, on the
     Taylor rows or on their Stanley-Reisner complex, whichever bounds
     fewer faces.  A remainder with no variable in three rows is read as
     a graph and grows none, so it never reaches the cap (see the
     homology module docstring).  If a complex exceeds it, the
-    SizeLimitExceeded carries the multigraded entries of the
-    multidegrees finished before it; if the lattice exceeds lattice_cap,
-    it carries the bottom's alone.
+    SizeLimitExceeded carries the entries of the multidegrees finished
+    before it; if the lattice exceeds lattice_cap, it carries the
+    bottom's alone.
     """
-    one = SqfMonomial()  # the bottom, elements[0]
-    multigraded = {(0, one): 1}
+    entries = [_BOTTOM]
     try:
         elements, witness = _lattice_masks(masks, lattice_cap)
     except SizeLimitExceeded as e:
-        raise SizeLimitExceeded(str(e), partial=multigraded) from None
-    graded = {(0, 0): 1}
-    # the lattice runs by degree, so the last degree met in i is t_i; the
-    # least degree of beta_i rises strictly with i, so t's keys come in
-    # increasing order
-    t: dict[int, int] = {}
+        raise SizeLimitExceeded(str(e), partial=entries) from None
     for top in islice(elements, 1, None):
         rows = [top & ~g for g in masks if g | top == top]
         k = len(witness[top])
@@ -258,74 +274,62 @@ def _walk(
             # a Boolean interval: each generator below m holds a private
             # variable, so the faces below m are the proper subsets of k
             # vertices, a (k-2)-sphere (proof in the docstring)
-            homology = ((k - 2, 1),)
-        else:
-            try:
-                homology = _rows_homology(rows, p, face_cap).items()
-            except SizeLimitExceeded as e:
-                raise SizeLimitExceeded(str(e), partial=multigraded) from None
-            if not homology:
-                continue
-        m = SqfMonomial(top)
-        j = top.bit_count()
-        for d, rank in homology:
-            i = d + 2
-            multigraded[(i, m)] = rank
-            graded[(i, j)] = graded.get((i, j), 0) + rank
-            t[i] = j
-    return multigraded, graded, t
+            entries.append((top, ((k, 1),)))
+            continue
+        try:
+            homology = _rows_homology(rows, p, face_cap)
+        except SizeLimitExceeded as e:
+            raise SizeLimitExceeded(str(e), partial=entries) from None
+        if homology:
+            entries.append((top, [(d + 2, rank) for d, rank in homology.items()]))
+    return entries
 
 
 def _product(
     blocks: list[list[int]], p: int | None, lattice_cap: int, face_cap: int
-) -> tuple[dict, dict[tuple[int, int], int], dict[int, int]]:
-    """multigraded, graded and t of the sum of the blocks, from their walks.
+) -> list[_Entry]:
+    """The nonzero multidegrees of the sum of the blocks, from their walks.
 
-    Each block's nonzero multidegrees, its bottom among them, are read
-    off its walk with their ranks by degree.  Every tuple of them, one
-    per block, is a multidegree of the sum, whose ranks are the
-    convolution of the factors' (module docstring).  The tuples are put
-    in lattice order by the lattice's sort key, degree then mirror (see
-    lattice._lattice_masks), of which each factor carries its share:
+    Every tuple of the blocks' nonzero multidegrees, one per block, is a
+    nonzero multidegree of the sum, whose ranks are the convolution of
+    the factors' (module docstring).  The tuples are put in lattice
+    order by the lattice's sort key, degree then mirror (see
+    lattice._mirrors), of which each factor carries its share:
     ((degree << w) - mirror) << w | mask, in the width w of the whole
     ideal.  The factors' masks and mirrors have disjoint bits and their
     degrees add, so a product's share is the sum of its factors', and it
-    differs from the lattice's key by a constant.  The tuples are
-    written in that order, as _walk writes its elements.
+    differs from the lattice's key by a constant.  The tuples are listed
+    in that order, as _walk lists its elements.
 
     Each walk is capped as _walk caps it, and the product by the count
     of its multidegrees.  A cap carries the entries of every block
     walked so far, the one that hit it included, in lattice order.
     """
-    nbytes = max(1, -(-max(max(masks) for masks in blocks).bit_length() // 8))
-    w = 8 * nbytes
-    tables: list[dict] = []
+    top = 0
+    for masks in blocks:
+        for g in masks:
+            top |= g
+    walks: list[list[_Entry]] = []
     for masks in blocks:
         try:
-            tables.append(_walk(masks, p, lattice_cap, face_cap)[0])
+            walks.append(_walk(masks, p, lattice_cap, face_cap))
         except SizeLimitExceeded as e:
-            raise SizeLimitExceeded(str(e), partial=_merged(tables + [e.partial])) from None
-    count = 1
-    factors = []
-    for table in tables:
-        factor = []  # (share of the key, ranks) per nonzero multidegree
-        last = -1
-        for (i, m), rank in table.items():
-            f = m.mask
-            if f == last:  # the degrees of one multidegree are adjacent
-                ranks.append((i, rank))
-                continue
-            last = f
-            ranks = [(i, rank)]
-            rf = int.from_bytes(f.to_bytes(nbytes, "little").translate(_REVERSE_BITS), "big")
-            factor.append(((((f.bit_count() << w) - rf) << w) + f, ranks))
-        factors.append(factor)
-        count *= len(factor)
+            raise SizeLimitExceeded(str(e), partial=_merged(walks + [e.partial])) from None
+    count = prod(map(len, walks))
     if count > lattice_cap:
         raise SizeLimitExceeded(
             f"Betti table exceeds lattice cap {lattice_cap}: "
             f"{count} multidegrees in the product of {len(blocks)} blocks",
-            partial=_merged(tables),
+            partial=_merged(walks),
+        )
+    factors = []  # (share of the key, ranks) per nonzero multidegree
+    for walk in walks:
+        w, mirrors = _mirrors([f for f, _ in walk], top)
+        factors.append(
+            [
+                ((((f.bit_count() << w) - rf) << w) + f, ranks)
+                for (f, ranks), rf in zip(walk, mirrors)
+            ]
         )
     product = factors[0]
     for factor in factors[1:]:
@@ -336,21 +340,10 @@ def _product(
         ]
     product.sort()  # the keys are distinct, so no ranks are compared
     ones = (1 << w) - 1
-    multigraded = {(0, SqfMonomial()): 1}  # the product of the bottoms
-    graded = {(0, 0): 1}
-    t: dict[int, int] = {}
-    for key, ranks in islice(product, 1, None):
-        top = key & ones
-        m = SqfMonomial(top)
-        j = top.bit_count()
-        for i, rank in ranks:
-            multigraded[(i, m)] = rank
-            graded[(i, j)] = graded.get((i, j), 0) + rank
-            t[i] = j
-    return multigraded, graded, t
+    return [(key & ones, ranks) for key, ranks in product]
 
 
-def _convolve(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list:
+def _convolve(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) -> list:
     """The ranks of a tensor product: c_k = sum of a_i b_j over i + j = k.
 
     a and b list (degree, rank) in increasing degree, and so does the
@@ -367,10 +360,10 @@ def _convolve(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list:
     return sorted(c.items())
 
 
-def _merged(tables: list[dict]) -> dict:
-    """The entries of some blocks' tables as one dict, in lattice order."""
-    entries = {key: rank for table in tables for key, rank in table.items()}
-    return dict(sorted(entries.items(), key=lambda e: (e[0][1].sort_key(), e[0][0])))
+def _merged(walks: list[list[_Entry]]) -> list[_Entry]:
+    """The entries of some blocks' walks as one list, in lattice order."""
+    entries = dict(entry for walk in walks for entry in walk)  # the bottoms coincide
+    return sorted(entries.items(), key=lambda e: mask_sort_key(e[0]))
 
 
 def t_max(table: BettiTable, a: int) -> int:
@@ -408,46 +401,6 @@ def format_betti_m2(table: BettiTable) -> str:
         cells = " ".join(s.rjust(w) for s, w in zip(row, widths))
         lines.append(f"{label.rjust(lw)} {cells}")
     return "\n".join(lines)
-
-
-def parse_betti_m2(text: str) -> dict[tuple[int, int], int]:
-    """Parse the m2 layout back to the graded map (inverse of the printer).
-
-    Only graded data lives in the layout, so that is what comes back;
-    the totals row is cross-checked.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise ParseError("not an m2 betti table")
-    cols = [_int(tok) for tok in lines[0].split()]
-    totals_line = lines[1].split()
-    if totals_line[0] != "total:":
-        raise ParseError("missing total: row")
-    totals = [_int(tok) for tok in totals_line[1:]]
-    if len(totals) != len(cols):
-        raise ParseError("totals row width mismatch")
-    graded: dict[tuple[int, int], int] = {}
-    for ln in lines[2:]:
-        label, *cells = ln.split()
-        if not label.endswith(":"):
-            raise ParseError(f"bad row label {label!r}")
-        k = _int(label[:-1])
-        if len(cells) != len(cols):
-            raise ParseError("row width mismatch")
-        for i, tok in zip(cols, cells):
-            if tok != ".":
-                graded[(i, k + i)] = _int(tok)
-    for i, total in zip(cols, totals):
-        if sum(rank for (a, _), rank in graded.items() if a == i) != total:
-            raise ParseError(f"totals row disagrees at column {i}")
-    return graded
-
-
-def _int(tok: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"not an integer: {tok!r}") from None
 
 
 def _array(items: list[str], indent: str) -> str:

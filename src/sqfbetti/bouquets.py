@@ -13,6 +13,7 @@ permutation of the bouquets.
 from __future__ import annotations
 
 import math
+import dataclasses
 from typing import Iterable, Iterator, Sequence
 
 from .analysis import _table_for
@@ -34,6 +35,7 @@ from .lattice import complementary
 _Candidate = tuple[tuple[int, ...], int, int, int]
 
 
+@dataclasses.dataclass(slots=True, repr=False, unsafe_hash=True)
 class Bouquet:
     """Facets sharing a nonempty root, each with a free vertex inside.
 
@@ -42,44 +44,25 @@ class Bouquet:
     is the union of the facet supports (the monomial of V(B)).
     """
 
-    __slots__ = ("facets", "root", "free_vertex_witness", "vertex_mask")
-
-    def __init__(
-        self,
-        facets: tuple[int, ...],
-        root: SqfMonomial,
-        free_vertex_witness: tuple[int, ...],
-        vertex_mask: int,
-    ):
-        self.facets = facets
-        self.root = root
-        self.free_vertex_witness = free_vertex_witness
-        self.vertex_mask = vertex_mask
+    facets: tuple[int, ...]
+    root: SqfMonomial = dataclasses.field(compare=False)
+    free_vertex_witness: tuple[int, ...] = dataclasses.field(compare=False)
+    vertex_mask: int = dataclasses.field(compare=False)
 
     def __len__(self) -> int:
         return len(self.facets)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Bouquet) and self.facets == other.facets
-
-    def __hash__(self) -> int:
-        return hash(self.facets)
 
     def __repr__(self) -> str:
         return f"Bouquet(facets={list(self.facets)})"
 
 
+@dataclasses.dataclass(slots=True, eq=False, repr=False)
 class BouquetCheck:
     """Outcome of the bouquet decision: truthy iff accepted."""
 
-    __slots__ = ("ok", "bouquet", "reason")
-
-    def __init__(
-        self, ok: bool, bouquet: Bouquet | None = None, reason: str | None = None
-    ):
-        self.ok = ok
-        self.bouquet = bouquet
-        self.reason = reason
+    ok: bool
+    bouquet: Bouquet | None = None
+    reason: str | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -90,6 +73,7 @@ class BouquetCheck:
         )
 
 
+@dataclasses.dataclass(slots=True, eq=False, repr=False)
 class BouquetSet:
     """A strongly disjoint family with its chosen representatives.
 
@@ -98,27 +82,11 @@ class BouquetSet:
     covers.
     """
 
-    __slots__ = (
-        "complex",
-        "bouquets",
-        "representatives",
-        "spans_delta",
-        "outside_condition_ok",
-    )
-
-    def __init__(
-        self,
-        complex: SimplicialComplex,
-        bouquets: tuple[Bouquet, ...],
-        representatives: tuple[int, ...],
-        spans_delta: bool,
-        outside_condition_ok: bool,
-    ):
-        self.complex = complex
-        self.bouquets = bouquets
-        self.representatives = representatives
-        self.spans_delta = spans_delta
-        self.outside_condition_ok = outside_condition_ok
+    complex: SimplicialComplex
+    bouquets: tuple[Bouquet, ...]
+    representatives: tuple[int, ...]
+    spans_delta: bool
+    outside_condition_ok: bool
 
     def __len__(self) -> int:
         return len(self.bouquets)
@@ -535,56 +503,27 @@ def bouquet_orderings(
     return tuple(seq)
 
 
+@dataclasses.dataclass(slots=True, eq=False, repr=False)
 class BouquetSubadditivity:
     """Certificate that a bouquet partition bounds t_b by t_b' + t_b''."""
 
-    __slots__ = (
-        "ideal",
-        "field",
-        "b_left",
-        "b_right",
-        "b_total",
-        "m_left",
-        "m_right",
-        "complement_ok",
-        "beta_left",
-        "beta_right",
-        "t_left",
-        "t_right",
-        "t_total",
-        "holds",
-    )
+    ideal: MonomialIdeal
+    field: FieldSpec
+    b_left: int
+    b_right: int
+    m_left: SqfMonomial
+    m_right: SqfMonomial
+    complement_ok: bool
+    beta_left: int
+    beta_right: int
+    t_left: int
+    t_right: int
+    t_total: int
+    holds: bool
 
-    def __init__(
-        self,
-        ideal: MonomialIdeal,
-        field: FieldSpec,
-        b_left: int,
-        b_right: int,
-        m_left: SqfMonomial,
-        m_right: SqfMonomial,
-        complement_ok: bool,
-        beta_left: int,
-        beta_right: int,
-        t_left: int,
-        t_right: int,
-        t_total: int,
-        holds: bool,
-    ):
-        self.ideal = ideal
-        self.field = field
-        self.b_left = b_left
-        self.b_right = b_right
-        self.b_total = b_left + b_right
-        self.m_left = m_left
-        self.m_right = m_right
-        self.complement_ok = complement_ok
-        self.beta_left = beta_left
-        self.beta_right = beta_right
-        self.t_left = t_left
-        self.t_right = t_right
-        self.t_total = t_total
-        self.holds = holds
+    @property
+    def b_total(self) -> int:
+        return self.b_left + self.b_right
 
     def __repr__(self) -> str:
         return (

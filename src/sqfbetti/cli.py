@@ -654,9 +654,31 @@ def _build_parser() -> _Parser:
     common.add_argument(
         "--wide", action="store_true", help="allow more than 64 variables"
     )
-    common.add_argument("--lattice-cap", type=int, default=None, metavar="N")
-    common.add_argument("--face-cap", type=int, default=None, metavar="N")
-    common.add_argument("--search-budget", type=int, default=None, metavar="N")
+    common.add_argument(
+        "--lattice-cap",
+        type=int,
+        default=None,
+        metavar="N",
+        help="most lcm lattice elements, counted per block for a Betti table, and "
+        "most multidegrees of a split ideal's table "
+        f"(default: ${ENV_LATTICE_CAP}, else {DEFAULT_LATTICE_CAP})",
+    )
+    common.add_argument(
+        "--face-cap",
+        type=int,
+        default=None,
+        metavar="N",
+        help="most faces grown for one complex "
+        f"(default: ${ENV_FACE_CAP}, else {DEFAULT_FACE_CAP})",
+    )
+    common.add_argument(
+        "--search-budget",
+        type=int,
+        default=None,
+        metavar="N",
+        help="most units of work of the cover and bouquet family searches "
+        f"(default: ${ENV_SEARCH_BUDGET}, else {DEFAULT_SEARCH_BUDGET})",
+    )
 
     parser = _Parser(
         prog="sqfbetti",

@@ -548,13 +548,6 @@ def parse_ideal_json(data, wide: bool = False) -> MonomialIdeal:
     return normalize_generators(gens, vars)
 
 
-def format_ideal_json(I: MonomialIdeal) -> dict:
-    return {
-        "variables": list(I.vars.names),
-        "generators": [monomial_names(g, I.vars) for g in I.gens],
-    }
-
-
 def parse_ideal(text: str, wide: bool = False) -> MonomialIdeal:
     """Autodetect JSON vs text format and parse accordingly."""
     stripped = text.lstrip()

@@ -10,6 +10,7 @@ complements whose halves cover induced subideals.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -54,6 +55,7 @@ class Cover:
         return f"Cover({sorted(self.members)})"
 
 
+@dataclasses.dataclass(slots=True, repr=False, unsafe_hash=True)
 class WellOrderedCover:
     """An ordered minimal cover with per-non-member witnesses.
 
@@ -62,30 +64,12 @@ class WellOrderedCover:
     maximum is the alpha value of the generator.
     """
 
-    __slots__ = ("ideal", "sequence", "witnesses")
-
-    def __init__(
-        self,
-        ideal: MonomialIdeal,
-        sequence: Sequence[int],
-        witnesses: Sequence[tuple[int, int]],
-    ):
-        self.ideal = ideal
-        self.sequence = tuple(sequence)
-        self.witnesses = tuple(witnesses)
+    ideal: MonomialIdeal
+    sequence: tuple[int, ...]
+    witnesses: tuple[tuple[int, int], ...] = dataclasses.field(compare=False)
 
     def __len__(self) -> int:
         return len(self.sequence)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WellOrderedCover)
-            and self.ideal == other.ideal
-            and self.sequence == other.sequence
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ideal, self.sequence))
 
     def __repr__(self) -> str:
         seq = ", ".join(
@@ -95,22 +79,14 @@ class WellOrderedCover:
         return f"WellOrderedCover({seq})"
 
 
+@dataclasses.dataclass(slots=True, eq=False, repr=False)
 class WocCheck:
     """Outcome of the well-ordered decision: truthy iff accepted."""
 
-    __slots__ = ("ok", "woc", "reason", "failing")
-
-    def __init__(
-        self,
-        ok: bool,
-        woc: WellOrderedCover | None = None,
-        reason: str | None = None,
-        failing: int | None = None,
-    ):
-        self.ok = ok
-        self.woc = woc
-        self.reason = reason
-        self.failing = failing
+    ok: bool
+    woc: WellOrderedCover | None = None
+    reason: str | None = None
+    failing: int | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -121,6 +97,7 @@ class WocCheck:
         )
 
 
+@dataclasses.dataclass(slots=True, eq=False, repr=False)
 class SplitCertificate:
     """Everything the splitting machinery asserts about one split.
 
@@ -131,39 +108,15 @@ class SplitCertificate:
     check still ran and its outcome is prefix_woc_ok.
     """
 
-    __slots__ = (
-        "ideal",
-        "sequence",
-        "a",
-        "m",
-        "m2",
-        "complement_ok",
-        "suffix_woc_ok",
-        "prefix_woc_ok",
-        "condition",
-    )
-
-    def __init__(
-        self,
-        ideal: MonomialIdeal,
-        sequence: tuple[int, ...],
-        a: int,
-        m: SqfMonomial,
-        m2: SqfMonomial,
-        complement_ok: bool,
-        suffix_woc_ok: bool,
-        prefix_woc_ok: bool,
-        condition: str | None,
-    ):
-        self.ideal = ideal
-        self.sequence = sequence
-        self.a = a
-        self.m = m
-        self.m2 = m2
-        self.complement_ok = complement_ok
-        self.suffix_woc_ok = suffix_woc_ok
-        self.prefix_woc_ok = prefix_woc_ok
-        self.condition = condition
+    ideal: MonomialIdeal
+    sequence: tuple[int, ...]
+    a: int
+    m: SqfMonomial
+    m2: SqfMonomial
+    complement_ok: bool
+    suffix_woc_ok: bool
+    prefix_woc_ok: bool
+    condition: str | None
 
     def __repr__(self) -> str:
         vars = self.ideal.vars
@@ -249,7 +202,7 @@ def is_well_ordered_cover(I: MonomialIdeal, seq: Sequence[int]) -> WocCheck:
         return WocCheck(False, reason=reason, failing=failing)
     if not ok:
         return WocCheck(False, reason="not a minimal cover")
-    return WocCheck(True, woc=WellOrderedCover(I, seq, witnesses))
+    return WocCheck(True, woc=WellOrderedCover(I, seq, tuple(witnesses)))
 
 
 def enumerate_minimal_covers(

@@ -87,6 +87,7 @@ dependent are never built.
 
 from __future__ import annotations
 
+import dataclasses
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -147,10 +148,6 @@ class FieldSpec:
         raise ParseError(f"bad field spec {text!r} (expected 'q' or 'p:<prime>')")
 
     @property
-    def kind(self) -> str:
-        return "rationals" if self.p is None else "prime"
-
-    @property
     def label(self) -> str:
         return "QQ" if self.p is None else f"GF({self.p})"
 
@@ -168,6 +165,7 @@ RATIONALS = FieldSpec.rationals()
 GF_32003 = FieldSpec.prime(32003)
 
 
+@dataclasses.dataclass(slots=True, eq=False, repr=False)
 class ChainComplexRanks:
     """Face counts, boundary ranks, and reduced homology per dimension.
 
@@ -175,19 +173,10 @@ class ChainComplexRanks:
     not Void; the Void complex has a zero chain complex throughout.
     """
 
-    __slots__ = ("face_counts", "boundary_ranks", "homology_ranks", "field")
-
-    def __init__(
-        self,
-        face_counts: dict[int, int],
-        boundary_ranks: dict[int, int],
-        homology_ranks: dict[int, int],
-        field: FieldSpec,
-    ):
-        self.face_counts = face_counts
-        self.boundary_ranks = boundary_ranks
-        self.homology_ranks = homology_ranks
-        self.field = field
+    face_counts: dict[int, int]
+    boundary_ranks: dict[int, int]
+    homology_ranks: dict[int, int]
+    field: FieldSpec
 
     def r(self, d: int) -> int:
         return self.boundary_ranks.get(d, 0)

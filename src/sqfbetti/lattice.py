@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import dataclasses
+from typing import Sequence
 
 from .core import MonomialIdeal, SqfMonomial, mask_sort_key
+from . import errors
 from .errors import NotInLattice, SizeLimitExceeded
 
 DEFAULT_LATTICE_CAP = 2**20
 
 
+@dataclasses.dataclass(slots=True, eq=False, repr=False)
 class LcmLattice:
     """All lcms of generator subsets, ordered by divisibility.
 
@@ -21,29 +24,12 @@ class LcmLattice:
     membership.
     """
 
-    __slots__ = ("ideal", "elements", "witness")
-
-    def __init__(
-        self,
-        ideal: MonomialIdeal,
-        elements: Iterable[SqfMonomial],
-        witness: dict[int, tuple[int, ...]],
-    ):
-        self.ideal = ideal
-        self.elements = tuple(elements)
-        self.witness = witness
+    ideal: MonomialIdeal
+    elements: tuple[SqfMonomial, ...]
+    witness: dict[int, tuple[int, ...]]
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, m: SqfMonomial) -> bool:
-        return m.mask in self.witness
-
-    def bottom(self) -> SqfMonomial:
-        return self.elements[0]
 
     def top(self) -> SqfMonomial:
         return self.elements[-1]
@@ -66,11 +52,26 @@ def build_lattice(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLattic
     as soon as the element count exceeds cap.
     """
     masks, witness = _lattice_masks([g.mask for g in I.gens], cap)
-    return LcmLattice(I, map(SqfMonomial, masks), witness)
+    return LcmLattice(I, tuple(map(SqfMonomial, masks)), witness)
 
 
-# each byte with its bits reversed, for the mirrors of _lattice_masks
+# each byte with its bits reversed, for _mirrors
 _REVERSE_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _mirrors(masks: Sequence[int], top: int) -> tuple[int, list[int]]:
+    """The width w of the mirrors of the masks below top, and their mirrors.
+
+    The mirror of a mask is its bits reversed in w bits, bit k going to
+    bit w - 1 - k, for w the fewest whole bytes, at least one, that hold
+    top.  The lattice of an ideal and the product of its blocks' tables
+    (betti._product) sort by the mirror in the width of the ideal's top.
+    """
+    nbytes = max(1, -(-top.bit_length() // 8))
+    return 8 * nbytes, [
+        int.from_bytes(m.to_bytes(nbytes, "little").translate(_REVERSE_BITS), "big")
+        for m in masks
+    ]
 
 
 def _lattice_masks(
@@ -103,16 +104,16 @@ def _lattice_masks(
     increasing order of W.
 
     That is not the canonical order, so each element carries its sort
-    key.  The mirror of a mask is its bits reversed in a fixed width w
-    of whole bytes, bit k going to bit w - 1 - k; it is made once per
-    generator, and the mirror of a join m | g is rev(m) | rev(g).  The
-    key is the int ((degree << w | (2^w - 1 - rev)) << w) | mask.  At
-    equal degree the highest bit where two mirrors differ is the lowest
-    bit where the masks differ, so the mask holding it has the larger
-    mirror and the smaller key, as its smaller index puts it first under
-    mask_sort_key.  The mirror is one to one, so the mask in the low w
-    bits never decides, and is read back from there.  One plain sort of
-    the keys is then the canonical order.
+    key.  The mirror of a mask, its bits reversed in a fixed width w
+    (_mirrors), is made once per generator, and the mirror of a join
+    m | g is rev(m) | rev(g).  The key is the int
+    ((degree << w | (2^w - 1 - rev)) << w) | mask.  At equal degree the
+    highest bit where two mirrors differ is the lowest bit where the
+    masks differ, so the mask holding it has the larger mirror and the
+    smaller key, as its smaller index puts it first under mask_sort_key.
+    The mirror is one to one, so the mask in the low w bits never
+    decides, and is read back from there.  One plain sort of the keys is
+    then the canonical order.
 
     Raises SizeLimitExceeded (with the elements found so far attached,
     as monomials in the canonical order) as soon as the element count
@@ -121,13 +122,8 @@ def _lattice_masks(
     top = 0
     for g in gen_masks:
         top |= g
-    nbytes = max(1, -(-top.bit_length() // 8))
-    w = 8 * nbytes
+    w, mirrors = _mirrors(gen_masks, top)
     ones = (1 << w) - 1
-    mirrors = [
-        int.from_bytes(g.to_bytes(nbytes, "little").translate(_REVERSE_BITS), "big")
-        for g in gen_masks
-    ]
     gens = list(enumerate(gen_masks))
     witness: dict[int, tuple[int, ...]] = {0: ()}
     keys = [ones << w]
@@ -210,17 +206,14 @@ def enumerate_complements(I: MonomialIdeal, m: SqfMonomial) -> list[SqfMonomial]
     c = I.vars.full_mask & ~m.mask
     below = [g.mask for g in I.gens if not g.mask & ~m.mask]
     bits = [1 << k for k in m.indices()]
-    found = []
-    visited = 0
+    found: list[int] = []
+    spend = errors.budget(
+        DEFAULT_LATTICE_CAP, "complement search", lambda: _in_order(found)
+    )
     stack = [(0, 0)]  # (T, the position in bits of its next variable)
     while stack:
         t, start = stack.pop()
-        visited += 1
-        if visited > DEFAULT_LATTICE_CAP:
-            raise SizeLimitExceeded(
-                f"complement search exceeds cap {DEFAULT_LATTICE_CAP}",
-                partial=_in_order(found),
-            )
+        spend()
         if in_lattice(I, SqfMonomial(c | t)):
             found.append(c | t)
         for pos in range(start, len(bits)):

@@ -697,6 +697,22 @@ def test_env_budget_overrides(capsys, monkeypatch):
     assert "SQFBETTI_LATTICE_CAP" in err
 
 
+def test_budget_flags_have_help(capsys, monkeypatch):
+    # wide enough that argparse writes each option's help on its own line
+    monkeypatch.setenv("COLUMNS", "400")
+    with pytest.raises(SystemExit) as e:
+        main(["betti", "-h"])
+    assert e.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for flag, counts, env in (
+        ("--lattice-cap N", "most lcm lattice elements", "$SQFBETTI_LATTICE_CAP"),
+        ("--face-cap N", "most faces grown for one complex", "$SQFBETTI_FACE_CAP"),
+        ("--search-budget N", "most units of work of the cover", "$SQFBETTI_SEARCH_BUDGET"),
+    ):
+        (line,) = [line for line in lines if line.lstrip().startswith(flag)]
+        assert " ".join(line.split()[2:]).startswith(counts) and env in line, line
+
+
 def test_nonpositive_budget_rejected(capsys):
     code, _, err = run(
         capsys, "lattice", "--lattice-cap", "0", "--gens", GENS_PATH

@@ -70,7 +70,6 @@ def test_field_spec_parsing():
     assert FieldSpec.parse("p:32003") == GF_32003
     assert RATIONALS.label == "QQ"
     assert GF_32003.label == "GF(32003)"
-    assert RATIONALS.kind == "rationals"
     for bad in ("r", "p:", "p:15", "p:abc", "32003"):
         with pytest.raises(ParseError):
             FieldSpec.parse(bad)
