@@ -38,7 +38,6 @@ import dataclasses
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from math import prod
-from typing import Sequence
 
 from .core import MonomialIdeal, SqfMonomial, mask_sort_key
 from .errors import OutOfRange, SizeLimitExceeded
@@ -60,39 +59,51 @@ class BettiTable:
     total degree, graded[(i, j)] = sum of multigraded[(i, m)] over
     deg m = j.  t maps a in 1..pd to max{j : graded[(a, j)] > 0}.
 
-    multigraded is in lattice order, the one order of a table: its keys
-    come with their m in the canonical order (SqfMonomial.sort_key), as
-    betti_table's walk over LCM(I) reaches them, and the keys of one m
-    in increasing i.  graded and t are in the order in which that walk
-    first writes each key.  nonzero(i) and
-    format_betti_json read that order as it is and sort nothing, so a
-    table built by hand must insert its entries in it too.  nonzero(i)
-    keeps its per-degree lists, read off multigraded on first use, and
-    the complement witness search its per-degree bitset index in
-    ``_witness_index`` (see search_complement_witnesses).  Both are built
-    once per table and never rebuilt, so a table must not be changed
-    once built.
+    A table is made by betti_table, which hands it the entries of its
+    walk, one (mask, ((i, rank), ...)) per nonzero multidegree, in
+    lattice order, the one order of a table: the masks come in the
+    canonical order (SqfMonomial.sort_key), as the walk over LCM(I)
+    reaches them, and the degrees of one mask in increasing i.  These
+    entries are its one per-entry store.  graded and t are written from
+    them, in the order in which that walk first writes each key.
+    nonzero(i) keeps its per-degree lists, read off the entries on
+    first use; they are the one place that makes a SqfMonomial per
+    entry.  multigraded is built from the entries and those monomials
+    on first read, its keys in the entries' order, and kept; the
+    complement witness search keeps its per-degree bitset index in
+    ``_witness_index`` (see search_complement_witnesses).
+    format_betti_json reads the entries as they are.  None of them
+    sorts the entries, and each is built once per table and never
+    rebuilt, so a table must not be changed once built.
     """
 
     ideal: MonomialIdeal
     field: FieldSpec
-    multigraded: dict[tuple[int, SqfMonomial], int]
+    _entries: list[_Entry]
     graded: dict[tuple[int, int], int]
     pd: int
     t: dict[int, int]
-    _nonzero: dict[int, list[SqfMonomial]] | None = dataclasses.field(
+    _multigraded: dict[tuple[int, SqfMonomial], int] | None = dataclasses.field(
+        default=None, init=False
+    )
+    _nonzero: list[list[SqfMonomial]] | None = dataclasses.field(
         default=None, init=False
     )
     _witness_index: dict = dataclasses.field(default_factory=dict, init=False)
 
+    @property
+    def multigraded(self) -> dict[tuple[int, SqfMonomial], int]:
+        """(i, m) -> beta_(i, m) > 0, in lattice order (do not mutate)."""
+        if self._multigraded is None:
+            self.nonzero(0)  # makes the monomials, in _nonzero
+            self._multigraded = _multigraded(self._entries, self._nonzero)
+        return self._multigraded
+
     def nonzero(self, i: int) -> list[SqfMonomial]:
         """The m with beta_{i,m} != 0, in lattice order (do not mutate)."""
         if self._nonzero is None:
-            self._nonzero = {}
-            for (d, m), rank in self.multigraded.items():
-                if rank:
-                    self._nonzero.setdefault(d, []).append(m)
-        return self._nonzero.get(i, [])
+            self._nonzero = _by_degree(self._entries, self.pd)
+        return self._nonzero[i] if 0 <= i <= self.pd else []
 
     def totals(self) -> tuple[int, ...]:
         """(beta_0, beta_1, ..., beta_pd)."""
@@ -148,10 +159,11 @@ def betti_table(
     own generators, and the table is the product of theirs (_product;
     proof in the module docstring).  Either way the nonzero
     multidegrees come in lattice order, and one writer, _write, turns
-    them into the table and a cap's partial: multigraded in lattice
-    order and, within one multidegree, in increasing i, and graded and t
-    in the order the walk over the whole LCM(I) would first write their
-    keys (see BettiTable).
+    them into graded and t, in the order the walk over the whole LCM(I)
+    would first write their keys; the table keeps the entries (see
+    BettiTable), and _by_degree and _multigraded turn them into its
+    multigraded and a cap's partial, in lattice order and, within one
+    multidegree, in increasing i.
 
     lattice_cap bounds the elements that each block's lattice search
     finds and, for two or more blocks, the multidegrees of the product,
@@ -172,9 +184,11 @@ def betti_table(
         else:
             entries = _product(blocks, field.p, lattice_cap, face_cap)
     except SizeLimitExceeded as e:
-        raise SizeLimitExceeded(str(e), partial=_write(e.partial)[0]) from None
-    multigraded, graded, t = _write(entries)
-    return BettiTable(I, field, multigraded, graded, max(t, default=0), t)
+        pd = max((ranks[-1][0] for _, ranks in e.partial), default=0)
+        partial = _multigraded(e.partial, _by_degree(e.partial, pd))
+        raise SizeLimitExceeded(str(e), partial=partial) from None
+    graded, t = _write(entries)
+    return BettiTable(I, field, entries, graded, max(t, default=0), t)
 
 
 def _blocks(masks: list[int]) -> list[list[int]]:
@@ -204,33 +218,68 @@ def _blocks(masks: list[int]) -> list[list[int]]:
 
 
 # a nonzero multidegree of a table: (mask, (i, rank) in increasing i)
-_Entry = tuple[int, Sequence[tuple[int, int]]]
+_Entry = tuple[int, tuple[tuple[int, int], ...]]
 # the entry of the bottom 1: beta_(0, 1) = 1 and nothing else
 _BOTTOM: _Entry = (0, ((0, 1),))
 
 
-def _write(
-    entries: list[_Entry],
-) -> tuple[dict, dict[tuple[int, int], int], dict[int, int]]:
-    """multigraded, graded and t of a table's nonzero multidegrees.
+def _write(entries: list[_Entry]) -> tuple[dict[tuple[int, int], int], dict[int, int]]:
+    """graded and t of a table's nonzero multidegrees.
 
     entries lists the nonzero multidegrees in lattice order, the
     bottom's _BOTTOM first, as _walk and _product return them.  The
-    lattice runs by degree, so the last degree met in i is t_i; the
-    least degree of beta_i rises strictly with i, so t's keys come in
+    lattice runs by degree, so the ranks of one degree j are summed by i
+    and written when j ends, each (i, j) at the place where the walk
+    first meets it; and the last degree met in i is t_i.  The least
+    degree of beta_i rises strictly with i, so t's keys come in
     increasing order.
     """
-    multigraded = {(0, SqfMonomial()): 1}
     graded = {(0, 0): 1}
-    t: dict[int, int] = {}
+    sums: dict[int, int] = {}  # i -> the ranks of degree j so far
+    j = 0
     for mask, ranks in islice(entries, 1, None):
-        m = SqfMonomial(mask)
-        j = mask.bit_count()
+        if mask.bit_count() != j:
+            for i, rank in sums.items():
+                graded[(i, j)] = rank
+            sums = {}
+            j = mask.bit_count()
         for i, rank in ranks:
-            multigraded[(i, m)] = rank
-            graded[(i, j)] = graded.get((i, j), 0) + rank
-            t[i] = j
-    return multigraded, graded, t
+            sums[i] = sums.get(i, 0) + rank
+    for i, rank in sums.items():
+        graded[(i, j)] = rank
+    t: dict[int, int] = {}
+    for i, j in islice(graded, 1, None):
+        t[i] = j
+    return graded, t
+
+
+def _by_degree(entries: list[_Entry], pd: int) -> list[list[SqfMonomial]]:
+    """by_degree[i]: the m of the entries with beta_(i, m) > 0, in order.
+
+    One SqfMonomial is made per entry and shared by its degrees.
+    """
+    by_degree: list[list[SqfMonomial]] = [[] for _ in range(pd + 1)]
+    for mask, ranks in entries:
+        m = SqfMonomial(mask)
+        for i, _ in ranks:
+            by_degree[i].append(m)
+    return by_degree
+
+
+def _multigraded(
+    entries: list[_Entry], by_degree: list[list[SqfMonomial]]
+) -> dict[tuple[int, SqfMonomial], int]:
+    """(i, m) -> rank of the entries, in their order and increasing i.
+
+    by_degree is _by_degree(entries): the k-th entry holding degree i
+    is by_degree[i][k], whose monomial the key reuses.
+    """
+    nexts = [iter(monomials).__next__ for monomials in by_degree]
+    multigraded = {}
+    for _, ranks in entries:
+        for i, rank in ranks:
+            multigraded[(i, nexts[i]())] = rank
+    return multigraded
 
 
 def _walk(
@@ -263,6 +312,10 @@ def _walk(
     bottom's alone.
     """
     entries = [_BOTTOM]
+    # ones[i] = ((i, 1),), the ranks shared by every entry whose one nonzero
+    # degree is i, with rank 1; no degree exceeds the number of generators,
+    # the length of the Taylor resolution
+    ones = [((i, 1),) for i in range(len(masks) + 1)]
     try:
         elements, witness = _lattice_masks(masks, lattice_cap)
     except SizeLimitExceeded as e:
@@ -274,14 +327,17 @@ def _walk(
             # a Boolean interval: each generator below m holds a private
             # variable, so the faces below m are the proper subsets of k
             # vertices, a (k-2)-sphere (proof in the docstring)
-            entries.append((top, ((k, 1),)))
+            entries.append((top, ones[k]))
             continue
         try:
             homology = _rows_homology(rows, p, face_cap)
         except SizeLimitExceeded as e:
             raise SizeLimitExceeded(str(e), partial=entries) from None
-        if homology:
-            entries.append((top, [(d + 2, rank) for d, rank in homology.items()]))
+        if len(homology) == 1:
+            ((d, rank),) = homology.items()
+            entries.append((top, ones[d + 2] if rank == 1 else ((d + 2, rank),)))
+        elif homology:
+            entries.append((top, tuple((d + 2, rank) for d, rank in homology.items())))
     return entries
 
 
@@ -343,7 +399,9 @@ def _product(
     return [(key & ones, ranks) for key, ranks in product]
 
 
-def _convolve(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) -> list:
+def _convolve(
+    a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int], ...]:
     """The ranks of a tensor product: c_k = sum of a_i b_j over i + j = k.
 
     a and b list (degree, rank) in increasing degree, and so does the
@@ -352,12 +410,12 @@ def _convolve(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) -> lis
     if len(a) == 1 == len(b):
         ((i, ra),) = a
         ((j, rb),) = b
-        return [(i + j, ra * rb)]
+        return ((i + j, ra * rb),)
     c: dict[int, int] = {}
     for i, ra in a:
         for j, rb in b:
             c[i + j] = c.get(i + j, 0) + ra * rb
-    return sorted(c.items())
+    return tuple(sorted(c.items()))
 
 
 def _merged(walks: list[list[_Entry]]) -> list[_Entry]:
@@ -431,8 +489,9 @@ def format_betti_json(table: BettiTable) -> str:
     mask 0).  The walk takes a 16-bit word, four digits, at a time, up to
     the mask's highest set bit; the entry of the digit 0 is "", so an
     empty word adds nothing.  The multigraded entries are written in one
-    pass over ``multigraded``, grouped by degree: the table's lattice
-    order (see BettiTable) is the canonical order within each degree.
+    pass over the table's entries, one name array per mask, grouped by
+    degree: the entries' lattice order (see BettiTable) is the canonical
+    order within each degree.
     """
     names = [encode_basestring_ascii(v) for v in table.ideal.vars.names]
     # rows[k][d]: the items of the set bits of the digit d at bits 4k..4k+3,
@@ -444,9 +503,10 @@ def format_betti_json(table: BettiTable) -> str:
         [lo + hi for hi in high for lo in low]
         for low, high in zip(halves[::2], halves[1::2] + [("",)])
     ] + [[""]] * 3
-    by_degree: dict[int, list[str]] = {}
-    for (i, m), rank in table.multigraded.items():
-        mask = m.mask
+    # by_degree[i] lists the items of beta_i, each opened by head[i]
+    by_degree: list[list[str]] = [[] for _ in range(table.pd + 1)]
+    head = [f'{{\n      "i": {i},\n      "monomial": ' for i in range(table.pd + 1)]
+    for mask, ranks in table._entries:
         array = ""
         k = 0  # the low 16 bits of mask are the digits of rows k..k+3
         while mask:
@@ -456,11 +516,9 @@ def format_betti_json(table: BettiTable) -> str:
             mask >>= 16
             k += 4
         monomial = f"[{array[1:]}\n      ]" if array else "[]"
-        by_degree.setdefault(i, []).append(
-            f'{{\n      "i": {i},\n      "monomial": {monomial},\n'
-            f'      "rank": {rank}\n    }}'
-        )
-    multi = [entry for i in sorted(by_degree) for entry in by_degree[i]]
+        for i, rank in ranks:
+            by_degree[i].append(f'{head[i]}{monomial},\n      "rank": {rank}\n    }}')
+    multi = [item for items in by_degree for item in items]
     graded = [
         f'{{\n      "i": {i},\n      "j": {j},\n      "rank": {rank}\n    }}'
         for (i, j), rank in sorted(table.graded.items())

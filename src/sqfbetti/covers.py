@@ -445,16 +445,22 @@ def _walk(
 
     seq and wit are the buffers of the path so far: each edge writes its
     member at its position and its discharged pairs at their non-members'
-    ranks, so at a leaf every slot holds the path's own value.
+    ranks, so at a leaf every slot holds the path's own value.  The
+    child of an edge at position 2 has one member left, so one edge, at
+    position 1 and to a leaf: it is written here, not entered.
     """
     for g, j, discharged, child in entry[1]:
         seq[j - 1] = g
         for pair in discharged:
             wit[rank[pair[0]]] = pair
-        if child[1]:
+        if j > 2:
             _walk(I, child, seq, wit, rank, results)
-        else:
-            results.append(WellOrderedCover(I, tuple(seq), tuple(wit)))
+            continue
+        if j == 2:
+            ((seq[0], _, last, _),) = child[1]
+            for pair in last:
+                wit[rank[pair[0]]] = pair
+        results.append(WellOrderedCover(I, tuple(seq), tuple(wit)))
 
 
 def _as_cover(I: MonomialIdeal, woc) -> WellOrderedCover:

@@ -261,6 +261,8 @@ def test_rp2_6_totals_depend_on_characteristic(p, totals):
     # over QQ its boundary ranks need pivots that are not +-1
     table = betti_table(parse_ideal_text("\n".join(RP2_6)), FieldSpec(p))
     assert table.totals() == totals
+    # one entry of the writer carries both degrees of the top over GF(2)
+    assert_stdlib_json(table)
 
 
 def assert_stdlib_json(table):
@@ -472,6 +474,7 @@ def test_split_tables_convolve_several_degrees(triangle_tail):
     table = assert_is_the_lattice_walk(disjoint_sum([rp2, triangle_tail], rng), GF2)
     top = table.ideal.top()
     assert [(i, r) for (i, m), r in table.multigraded.items() if m == top] == [(7, 2), (8, 2)]
+    assert_stdlib_json(table)
     table = assert_is_the_lattice_walk(disjoint_sum([rp2, rp2], rng), GF2)
     top = table.ideal.top()
     assert [(i, r) for (i, m), r in table.multigraded.items() if m == top] == [
@@ -479,6 +482,20 @@ def test_split_tables_convolve_several_degrees(triangle_tail):
         (7, 2),
         (8, 1),
     ]
+    assert_stdlib_json(table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([RATIONALS, FieldSpec(2)]))
+def test_json_writer_matches_stdlib_on_split_ideals(seed, field):
+    # the sum of two random ideals in disjoint variables, whose table is
+    # the product of its blocks' (_product), written from its entries
+    from sqfbetti.betti import _blocks
+
+    rng = random.Random(seed)
+    I = disjoint_sum([random_sqf_ideal(rng, max_vars=5, max_gens=5) for _ in range(2)], rng)
+    assert len(_blocks([g.mask for g in I.gens])) >= 2
+    assert_stdlib_json(betti_table(I, field))
 
 
 def test_blocks_share_no_variable():
@@ -497,8 +514,8 @@ def test_convolution_comes_in_increasing_degree():
     # a factor whose degrees skip one: 0 + 2 comes before 1 + 0
     from sqfbetti.betti import _convolve
 
-    assert _convolve([(0, 1), (1, 2)], [(0, 3), (2, 5)]) == [(0, 3), (1, 6), (2, 5), (3, 10)]
-    assert _convolve([(3, 1), (4, 1)], [(3, 1), (4, 1)]) == [(6, 1), (7, 2), (8, 1)]
+    assert _convolve(((0, 1), (1, 2)), ((0, 3), (2, 5))) == ((0, 3), (1, 6), (2, 5), (3, 10))
+    assert _convolve(((3, 1), (4, 1)), ((3, 1), (4, 1))) == ((6, 1), (7, 2), (8, 1))
 
 
 def test_split_table_lattice_cap_counts_blocks_and_product(three_brooms, three_brooms_table):

@@ -60,6 +60,21 @@ def test_betti_json(capsys):
     assert data["field"] == "QQ"
 
 
+def test_betti_json_never_builds_multigraded(capsys, monkeypatch):
+    # the writer reads the table's entries: no dict keyed by SqfMonomial is
+    # built for a connected ideal or for a split one (the product of blocks)
+    from sqfbetti import betti
+
+    def unread(*args):
+        raise AssertionError("betti --format json built multigraded")
+
+    monkeypatch.setattr(betti, "_multigraded", unread)
+    for gens in (GENS_B, GENS_PATH + ", a*b, b*c"):
+        code, out, err = run(capsys, "betti", "--format", "json", "--gens", gens)
+        assert code == 0, err
+        assert json.loads(out)["multigraded"]
+
+
 def test_betti_prime_field(capsys):
     code, out, _ = run(capsys, "betti", "--gens", GENS_A, "--field", "p:32003")
     assert code == 0
