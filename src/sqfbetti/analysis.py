@@ -158,14 +158,14 @@ def _degree_index(
         rows = "".join([bin(m.mask | top) for m in reversed(right)])
         holds = [int("0" + rows[width - 1 - x :: width], 2) for x in range(n)]
         below = []
-        for g in table.ideal.gens:
+        for g in table.ideal.masks:
             divisible = -1
-            mask = g.mask
+            mask = g
             while mask:
                 low = mask & -mask
                 divisible &= holds[low.bit_length() - 1]
                 mask ^= low
-            below.append((g.mask, divisible))
+            below.append((g, divisible))
         index = table._witness_index[b] = (right, holds, below)
     return index
 

@@ -177,7 +177,7 @@ def betti_table(
     is an entry of the table, the other blocks sitting at their bottom,
     so the partial holds the entries of every block walked so far.
     """
-    blocks = _blocks([g.mask for g in I.gens])
+    blocks = _blocks(I.masks)
     try:
         if len(blocks) == 1:
             entries = _walk(blocks[0], field.p, lattice_cap, face_cap)
@@ -491,7 +491,9 @@ def format_betti_json(table: BettiTable) -> str:
     empty word adds nothing.  The multigraded entries are written in one
     pass over the table's entries, one name array per mask, grouped by
     degree: the entries' lattice order (see BettiTable) is the canonical
-    order within each degree.
+    order within each degree.  An item is three parts, its degree's head,
+    its name array and its rank's tail, each head and tail made once, and
+    the text is one list of parts joined once.
     """
     names = [encode_basestring_ascii(v) for v in table.ideal.vars.names]
     # rows[k][d]: the items of the set bits of the digit d at bits 4k..4k+3,
@@ -503,9 +505,11 @@ def format_betti_json(table: BettiTable) -> str:
         [lo + hi for hi in high for lo in low]
         for low, high in zip(halves[::2], halves[1::2] + [("",)])
     ] + [[""]] * 3
-    # by_degree[i] lists the items of beta_i, each opened by head[i]
+    # by_degree[i] holds the parts of the items of beta_i: each is its
+    # degree's head, its mask's name array and its rank's tail
     by_degree: list[list[str]] = [[] for _ in range(table.pd + 1)]
-    head = [f'{{\n      "i": {i},\n      "monomial": ' for i in range(table.pd + 1)]
+    head = [f',\n    {{\n      "i": {i},\n      "monomial": ' for i in range(table.pd + 1)]
+    tails: dict[int, str] = {}
     for mask, ranks in table._entries:
         array = ""
         k = 0  # the low 16 bits of mask are the digits of rows k..k+3
@@ -517,8 +521,10 @@ def format_betti_json(table: BettiTable) -> str:
             k += 4
         monomial = f"[{array[1:]}\n      ]" if array else "[]"
         for i, rank in ranks:
-            by_degree[i].append(f'{head[i]}{monomial},\n      "rank": {rank}\n    }}')
-    multi = [item for items in by_degree for item in items]
+            tail = tails.get(rank) or tails.setdefault(
+                rank, f',\n      "rank": {rank}\n    }}'
+            )
+            by_degree[i] += head[i], monomial, tail
     graded = [
         f'{{\n      "i": {i},\n      "j": {j},\n      "rank": {rank}\n    }}'
         for (i, j), rank in sorted(table.graded.items())
@@ -527,14 +533,23 @@ def format_betti_json(table: BettiTable) -> str:
     t_text = (
         "{\n    " + ",\n    ".join(f'"{a}": {v}' for a, v in t) + "\n  }" if t else "{}"
     )
-    return (
+    parts = [
         "{\n"
         f'  "field": {encode_basestring_ascii(table.field.label)},\n'
         f'  "graded": {_array(graded, "  ")},\n'
-        f'  "multigraded": {_array(multi, "  ")},\n'
+        '  "multigraded": ['
+    ]
+    for degree_parts in by_degree:
+        parts += degree_parts
+        degree_parts.clear()
+    # the bottom's beta_(0, 1) opens the array, so its head drops the comma
+    parts[1] = parts[1][1:]
+    parts.append(
+        "\n  ],\n"
         f'  "pd": {table.pd},\n'
         f'  "t": {t_text},\n'
         f'  "totals": {_array([str(n) for n in table.totals()], "  ")},\n'
         f'  "variables": {_array(names, "  ")}\n'
         "}"
     )
+    return "".join(parts)

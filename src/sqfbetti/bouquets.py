@@ -103,7 +103,7 @@ def is_bouquet(delta: SimplicialComplex, facets: Iterable) -> BouquetCheck:
         return BouquetCheck(False, reason="a bouquet needs at least one facet")
     if len(set(indices)) != len(indices):
         return BouquetCheck(False, reason="repeated facet")
-    masks = [f.mask for f in delta.facets]
+    masks = delta.ideal.masks
     candidate = _candidate(masks, indices)
     _, root, _, twice = candidate
     if not root:
@@ -151,7 +151,7 @@ def facet_distance(delta: SimplicialComplex, f, g) -> int | float:
     j = delta.facet_index(g)
     if i == j:
         raise SameFacet("distance is defined for distinct facets")
-    masks = [x.mask for x in delta.facets]
+    masks = delta.ideal.masks
     dist = {i: 0}
     frontier = [i]
     while frontier:
@@ -176,7 +176,7 @@ def _near(delta: SimplicialComplex) -> list[int]:
     """
     if delta._near is not None:
         return delta._near
-    masks = [f.mask for f in delta.facets]
+    masks = delta.ideal.masks
     near = []
     for f in masks:
         around = 0  # the vertices of the facets meeting f
@@ -237,15 +237,15 @@ def outside_condition(
     For F outside the family and G in bouquet B: whenever F touches
     G minus Root(B), all of G minus Root(B) must lie inside F.
     """
+    masks = delta.ideal.masks
     family = set()
     wings = []
     for b in bouquets:
         family.update(b.facets)
-        wings.extend(delta.facets[gi].mask & ~b.root.mask for gi in b.facets)
-    for fi, facet in enumerate(delta.facets):
+        wings.extend(masks[gi] & ~b.root.mask for gi in b.facets)
+    for fi, fmask in enumerate(masks):
         if fi in family:
             continue
-        fmask = facet.mask
         for wing in wings:
             if fmask & wing and wing & ~fmask:
                 return False
@@ -447,7 +447,7 @@ def contains_strongly_disjoint_set(
     """
     results: list[BouquetSet] = []
     near = _near(delta)
-    masks = [f.mask for f in delta.facets]
+    masks = delta.ideal.masks
     spend = errors.budget(budget, "bouquet family search", lambda: list(results))
     by_low = _candidate_bouquets(masks, delta.vars.full_mask, spend)
 

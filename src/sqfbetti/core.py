@@ -185,15 +185,18 @@ class MonomialIdeal:
 
     ``gens`` is canonically sorted by (degree, sorted index tuple); the
     position of a generator here is the facet index used everywhere else
-    in the package.  Construct through :func:`normalize_generators` unless
-    the invariants are already known to hold.
+    in the package.  ``masks`` holds their masks in the same order, made
+    once here for the tests and searches that decide on ints.  Construct
+    through :func:`normalize_generators` unless the invariants are
+    already known to hold.
     """
 
-    __slots__ = ("vars", "gens")
+    __slots__ = ("vars", "gens", "masks")
 
     def __init__(self, vars: VariableTable, gens: Sequence[SqfMonomial]):
         self.vars = vars
         self.gens = tuple(gens)
+        self.masks = tuple(g.mask for g in self.gens)
 
     def __eq__(self, other) -> bool:
         return (
@@ -215,18 +218,21 @@ class MonomialIdeal:
     def top(self) -> SqfMonomial:
         """lcm of all generators, x_1...x_n by the covering invariant."""
         m = 0
-        for g in self.gens:
-            m |= g.mask
+        for g in self.masks:
+            m |= g
         return SqfMonomial(m)
 
     def contains(self, m: SqfMonomial) -> bool:
         """Ideal membership: some generator divides m."""
-        return any(g.divides(m) for g in self.gens)
+        outside = ~m.mask
+        for g in self.masks:
+            if not g & outside:
+                return True
+        return False
 
     def index_of(self, g: SqfMonomial) -> int:
-        for i, h in enumerate(self.gens):
-            if h.mask == g.mask:
-                return i
+        if g.mask in self.masks:
+            return self.masks.index(g.mask)
         raise ValueError(f"{g!r} is not a generator")
 
 
@@ -239,6 +245,7 @@ class _EmptyIdeal:
 
     __slots__ = ()
     gens: tuple = ()
+    masks: tuple = ()
 
     def __bool__(self) -> bool:
         return False
@@ -288,9 +295,8 @@ class SimplicialComplex:
     def facet_index(self, f) -> int:
         """Resolve an int index or a monomial to a facet position."""
         if isinstance(f, SqfMonomial):
-            for i, g in enumerate(self.facets):
-                if g.mask == f.mask:
-                    return i
+            if f.mask in self.ideal.masks:
+                return self.ideal.masks.index(f.mask)
             raise NotAFacet(f"{format_monomial(f, self.vars)} is not a facet")
         i = int(f)
         if not 0 <= i < len(self.facets):
@@ -411,7 +417,7 @@ def private_bits(masks: Sequence[int]) -> list[int]:
 def free_vertices(delta: SimplicialComplex, f) -> frozenset[int]:
     """Vertices of facet f lying in no other facet of the complex."""
     i = delta.facet_index(f)
-    private = private_bits([g.mask for g in delta.facets])
+    private = private_bits(delta.ideal.masks)
     return frozenset(_indices_of(private[i]))
 
 

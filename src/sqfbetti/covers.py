@@ -126,13 +126,6 @@ class SplitCertificate:
         )
 
 
-def _covered_mask(masks: Sequence[int], members: Iterable[int]) -> int:
-    mask = 0
-    for i in members:
-        mask |= masks[i]
-    return mask
-
-
 def is_minimal_cover(I: MonomialIdeal, cover) -> bool:
     """Covers every variable, and every member keeps a private variable.
 
@@ -143,7 +136,7 @@ def is_minimal_cover(I: MonomialIdeal, cover) -> bool:
     members = sorted(cover.members if isinstance(cover, Cover) else set(cover))
     if any(not 0 <= i < len(I.gens) for i in members):
         return False
-    ok, _, failing = _ordered_cover([g.mask for g in I.gens], members, I.vars.full_mask)
+    ok, _, failing = _ordered_cover(I.masks, members, I.vars.full_mask)
     return ok or failing is not None  # only a minimal cover reaches the witnesses
 
 
@@ -193,9 +186,7 @@ def is_well_ordered_cover(I: MonomialIdeal, seq: Sequence[int]) -> WocCheck:
         return WocCheck(False, reason="repeated generator in sequence")
     if any(not 0 <= i < len(I.gens) for i in seq):
         return WocCheck(False, reason="generator index out of range")
-    ok, witnesses, failing = _ordered_cover(
-        [g.mask for g in I.gens], seq, I.vars.full_mask
-    )
+    ok, witnesses, failing = _ordered_cover(I.masks, seq, I.vars.full_mask)
     if failing is not None:
         name = format_monomial(I.gens[failing], I.vars)
         reason = f"no witness position for non-member {name}"
@@ -236,8 +227,7 @@ def _minimal_covers(
     below its later siblings, so each cover is reached once, along the
     path that takes its lowest member holding that variable each time.
     """
-    masks = [g.mask for g in I.gens]
-    _extend_cover(masks, I.vars.full_mask, spend, found, 0, 0, [], 0)
+    _extend_cover(I.masks, I.vars.full_mask, spend, found, 0, 0, [], 0)
 
 
 def _extend_cover(
@@ -337,7 +327,7 @@ def find_well_ordered_covers(
     one member.  Exceeding it raises SizeLimitExceeded with the well
     ordered covers of the covers already walked attached.
     """
-    masks = [g.mask for g in I.gens]
+    masks = I.masks
     everyone = (1 << len(masks)) - 1
     results: list[WellOrderedCover] = []
     spend = errors.budget(budget, "well ordered cover search", lambda: list(results))
@@ -483,29 +473,39 @@ def split_certificate(I: MonomialIdeal, woc, a: int) -> SplitCertificate:
     failure here is an internal error, not a negative answer.  The prefix
     is checked against I_[m] directly, and condition records which
     sufficient clause applies (None when neither does, which is not a
-    refutation).  Both halves are decided on I's own generator masks.
+    refutation).  Every check is decided on I.masks and the two lcm
+    masks; the two SqfMonomials are made once, for the complement test's
+    arguments and the returned certificate.
     """
     seq = _as_cover(I, woc).sequence
     s = len(seq)
     if not 1 <= a <= s - 1:
         raise InvalidSplit(f"split position {a} outside 1..{s - 1}")
     prefix, suffix = seq[:a], seq[a:]
-    masks = [g.mask for g in I.gens]
-    m = SqfMonomial(_covered_mask(masks, prefix))
-    m2 = SqfMonomial(_covered_mask(masks, suffix))
+    masks = I.masks
+    mask = mask2 = 0
+    for i in prefix:
+        mask |= masks[i]
+    for i in suffix:
+        mask2 |= masks[i]
+    m, m2 = SqfMonomial(mask), SqfMonomial(mask2)
     # both are lcms of generator subsets, hence lattice elements
     complement_ok = complementary(I, m, m2)
     assert complement_ok, "split halves failed lattice complementation"
 
-    suffix_woc_ok = _ordered_cover(masks, suffix, m2.mask)[0]
+    suffix_woc_ok = _ordered_cover(masks, suffix, mask2)[0]
     assert suffix_woc_ok, "suffix failed to cover its induced subideal"
-    prefix_woc_ok = _ordered_cover(masks, prefix, m.mask)[0]
+    prefix_woc_ok = _ordered_cover(masks, prefix, mask)[0]
 
     # the prefix members divide m, so I_[m] is the prefix iff nothing else does
-    retained = sum(1 for g in masks if not g & ~m.mask)
+    retained = 0
+    outside = ~mask
+    for g in masks:
+        if not g & outside:
+            retained += 1
     if retained == a:
         condition = CONDITION_INDUCED_EQUALS_PREFIX
-    elif m.gcd(m2).is_one:
+    elif not mask & mask2:
         condition = CONDITION_COPRIME_PARTS
     else:
         condition = None

@@ -314,7 +314,7 @@ def homology_below(
         return {}
     top = m.mask
     return _rows_homology(
-        [top & ~g.mask for g in I.gens if g.mask | top == top], field.p, cap
+        [top & ~g for g in I.masks if g | top == top], field.p, cap
     )
 
 

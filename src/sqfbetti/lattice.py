@@ -51,7 +51,7 @@ def build_lattice(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLattic
     Raises SizeLimitExceeded (with the elements found so far attached)
     as soon as the element count exceeds cap.
     """
-    masks, witness = _lattice_masks([g.mask for g in I.gens], cap)
+    masks, witness = _lattice_masks(I.masks, cap)
     return LcmLattice(I, tuple(map(SqfMonomial, masks)), witness)
 
 
@@ -161,20 +161,28 @@ def in_lattice(I: MonomialIdeal, m: SqfMonomial) -> bool:
     Their lcm divides m and is the largest element below it, so m is an
     lcm of generators exactly when that lcm is m itself.
     """
+    top = m.mask
     covered = 0
-    for g in I.gens:
-        if not g.mask & ~m.mask:
-            covered |= g.mask
-    return covered == m.mask
+    for g in I.masks:
+        if not g & ~top:
+            covered |= g
+    return covered == top
 
 
 def complementary(I: MonomialIdeal, m: SqfMonomial, m2: SqfMonomial) -> bool:
     """lcm(m, m2) = x_1...x_n and gcd(m, m2) not in I.
 
     The complement test without the lattice membership checks, for
-    monomials already known to lie in LCM(I).
+    monomials already known to lie in LCM(I), decided on I.masks: the gcd
+    is outside I when every generator has a variable that it lacks.
     """
-    return m.mask | m2.mask == I.vars.full_mask and not I.contains(m.gcd(m2))
+    if m.mask | m2.mask != I.vars.full_mask:
+        return False
+    outside = ~(m.mask & m2.mask)
+    for g in I.masks:
+        if not g & outside:
+            return False
+    return True
 
 
 def is_lattice_complement(I: MonomialIdeal, m: SqfMonomial, m2: SqfMonomial) -> bool:
@@ -198,13 +206,15 @@ def enumerate_complements(I: MonomialIdeal, m: SqfMonomial) -> list[SqfMonomial]
     no generator; and every such c | T in LCM(I) is a complement.  The
     sets T are searched depth first over m's variables, and a T that
     holds a generator is cut with all its supersets.  No lattice is
-    built.  Raises SizeLimitExceeded, with the complements found so far
-    attached, once more than DEFAULT_LATTICE_CAP sets T are visited.
+    built, and each c | T is tested for membership on I.masks, with no
+    monomial made.  Raises SizeLimitExceeded, with the complements found
+    so far attached, once more than DEFAULT_LATTICE_CAP sets T are visited.
     """
     if not in_lattice(I, m):
         raise NotInLattice(f"{m!r} is not in LCM(I)")
+    masks = I.masks
     c = I.vars.full_mask & ~m.mask
-    below = [g.mask for g in I.gens if not g.mask & ~m.mask]
+    below = [g for g in masks if not g & ~m.mask]
     bits = [1 << k for k in m.indices()]
     found: list[int] = []
     spend = errors.budget(
@@ -214,11 +224,19 @@ def enumerate_complements(I: MonomialIdeal, m: SqfMonomial) -> list[SqfMonomial]
     while stack:
         t, start = stack.pop()
         spend()
-        if in_lattice(I, SqfMonomial(c | t)):
-            found.append(c | t)
+        x = c | t
+        covered = 0  # the join of the generators below x, as in in_lattice
+        for g in masks:
+            if not g & ~x:
+                covered |= g
+        if covered == x:
+            found.append(x)
         for pos in range(start, len(bits)):
             u = t | bits[pos]
-            if all(g & ~u for g in below):
+            for g in below:
+                if not g & ~u:
+                    break  # u holds a generator
+            else:
                 stack.append((u, pos + 1))
     return _in_order(found)
 
@@ -232,10 +250,9 @@ def hasse_pairs(lattice: LcmLattice) -> list[tuple[int, int]]:
     nothing in the certification pipeline needs it.
     """
     position = {m.mask: k for k, m in enumerate(lattice.elements)}
-    gens = [g.mask for g in lattice.ideal.gens]
     pairs = []
     for lo, x in enumerate(lattice.elements):
-        joins = {x.mask | g for g in gens if g & ~x.mask}
+        joins = {x.mask | g for g in lattice.ideal.masks if g & ~x.mask}
         for y in joins:
             if not any(z != y and z | y == y for z in joins):
                 pairs.append((lo, position[y]))

@@ -534,9 +534,13 @@ COVERS_CLI_GOLDEN = Path(__file__).resolve().parent / "covers_cli_golden.json"
 def test_covers_well_ordered_goldens_reproduce(capsys):
     # covers --well-ordered --all --format json on the benchmark ideals
     # whose output is small: triangle_tail, four_triangles, and three
-    # with no well ordered cover
+    # with no well ordered cover.  Then, on triangle_tail, four_triangles,
+    # three_brooms, star_cluster and cycle12, with the least well ordered
+    # cover (by sequence) as --sequence: --split at every cut, --minimal,
+    # --alpha, the plain check, and --rotate 2 where ell >= 2, which holds
+    # on three_brooms alone
     cases = json.loads(COVERS_CLI_GOLDEN.read_text())
-    assert len(cases) == 5
+    assert len(cases) == 46
     for case in cases:
         assert run(capsys, *case["argv"]) == (0, case["stdout"], ""), case["argv"]
 
@@ -548,9 +552,11 @@ def test_lattice_and_subadd_goldens_reproduce(capsys):
     # lattice, subadd --full --with-witnesses and subadd --witnesses i a b
     # --all for every a, b >= 1 with a + b <= pd, all as JSON, on the
     # benchmark ideals that take under a second: the elements, the join
-    # witnesses and every witness pair in its order
+    # witnesses and every witness pair in its order.  Then subadd
+    # --top-degree i a b for every a, b >= 1 with a + b = i <= pd on
+    # triangle_tail, four_triangles, three_brooms, star_cluster and cycle12
     cases = json.loads(ANALYSIS_GOLDEN.read_text())
-    assert len(cases) == 67
+    assert len(cases) == 153
     for case in cases:
         assert run(capsys, *case["argv"]) == (0, case["stdout"], ""), case["argv"]
 

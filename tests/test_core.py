@@ -223,6 +223,34 @@ def test_induced_subideal_empty(path3):
     assert not EMPTY_IDEAL
 
 
+def test_masks_are_the_generator_masks_for_every_constructor(three_brooms):
+    # every way to build an ideal makes its masks once, in generator order
+    vars = VariableTable(["x", "y", "z", "w"])
+    ideals = [
+        parse_ideal_text("x*y\ny*z\nz w x\nx*y*z"),
+        parse_ideal_json(
+            {"variables": ["a", "b", "c"], "generators": [["b", "c"], [0, 1], ["a", "c"]]}
+        ),
+        normalize_generators(
+            [SqfMonomial(0b1100), SqfMonomial(0b0011), SqfMonomial(0b0111)], vars
+        ),
+        polarize([{"x": 2, "y": 1}, {"y": 3}, {"x": 1, "z": 1}]),
+        facet_complex(three_brooms).ideal,
+        SimplicialComplex(vars, [SqfMonomial(0b1010), SqfMonomial(0b0101)]).ideal,
+    ]
+    for m in (three_brooms.top(), SqfMonomial.from_names(three_brooms.vars, "abyz")):
+        ideals.append(induced_subideal(three_brooms, m))
+    rng = random.Random(7)
+    for _ in range(20):
+        I = random_sqf_ideal(rng)
+        ideals.append(I)
+        ideals.append(induced_subideal(I, SqfMonomial(I.gens[0].mask | I.gens[-1].mask)))
+    for I in ideals:
+        assert type(I.masks) is tuple
+        assert I.masks == tuple(g.mask for g in I.gens), I
+    assert EMPTY_IDEAL.masks == ()
+
+
 def test_induced_subideal_preserves_canonical_order(three_brooms):
     m = three_brooms.top()
     sub = induced_subideal(three_brooms, m)

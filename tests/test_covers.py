@@ -504,6 +504,13 @@ def test_splits_match_the_induced_subideal_definition():
                     condition = None
                 cert = split_certificate(I, woc, a)
                 assert (cert.m, cert.m2) == (m, m2)
+                assert type(cert.m) is SqfMonomial and type(cert.m2) is SqfMonomial
+                # complements by definition: lcm the top, no generator | gcd
+                gcd = m.gcd(m2)
+                assert cert.complement_ok == (
+                    m.lcm(m2) == SqfMonomial(I.vars.full_mask)
+                    and not any(g.divides(gcd) for g in I.gens)
+                )
                 assert cert.prefix_woc_ok == prefix_ok
                 assert cert.suffix_woc_ok == suffix_ok
                 assert cert.condition == condition

@@ -15,6 +15,7 @@ from sqfbetti.errors import NotInLattice, SizeLimitExceeded
 from sqfbetti import lattice
 from sqfbetti.lattice import complementary, in_lattice
 
+from betti_golden import load_inputs
 from conftest import mk, random_sqf_ideal
 
 
@@ -85,6 +86,38 @@ def test_membership_test_agrees_with_the_built_lattice():
         for mask in range(I.vars.full_mask + 1):
             m = SqfMonomial(mask)
             assert in_lattice(I, m) == (mask in lat.witness), (I, mask)
+
+
+def test_mask_tests_agree_with_their_monomial_definitions():
+    # contains, in_lattice and complementary decide on I.masks; here they
+    # are written with SqfMonomial's divides, lcm and gcd, on the benchmark's
+    # fixed ideals and its random ideals of seeds 1 to 3.  The monomials
+    # are the lattice elements and each with one variable dropped, which
+    # mixes members and non-members of LCM(I) and of I
+    inputs = load_inputs()
+    ideals = [*inputs.FIXED.values()]
+    for seed in (1, 2, 3):
+        ideals += inputs.random_ideals(seed)
+    for gens in ideals:
+        I = parse_ideal_text("\n".join(gens))
+        top = SqfMonomial(I.vars.full_mask)
+        elements = build_lattice(I).elements
+        probes = {m.mask: m for m in elements}
+        for m in elements:
+            for k in m.indices():
+                probes.setdefault(m.mask ^ 1 << k, SqfMonomial(m.mask ^ 1 << k))
+        for m in probes.values():
+            below = [g for g in I.gens if g.divides(m)]
+            join = SqfMonomial.one()
+            for g in below:
+                join = join.lcm(g)
+            assert I.contains(m) == bool(below), (gens, m)
+            assert in_lattice(I, m) == (join == m), (gens, m)
+        for m in elements[:: max(1, len(elements) // 12)]:
+            for m2 in elements:
+                gcd = m.gcd(m2)
+                want = m.lcm(m2) == top and not any(g.divides(gcd) for g in I.gens)
+                assert complementary(I, m, m2) == want, (gens, m, m2)
 
 
 def test_cap_raises_with_partial(three_brooms):
