@@ -491,9 +491,8 @@ def format_betti_json(table: BettiTable) -> str:
     empty word adds nothing.  The multigraded entries are written in one
     pass over the table's entries, one name array per mask, grouped by
     degree: the entries' lattice order (see BettiTable) is the canonical
-    order within each degree.  An item is three parts, its degree's head,
-    its name array and its rank's tail, each head and tail made once, and
-    the text is one list of parts joined once.
+    order within each degree.  The text is one list of parts joined once:
+    an item is its degree's head, its name array and its rank's tail.
     """
     names = [encode_basestring_ascii(v) for v in table.ideal.vars.names]
     # rows[k][d]: the items of the set bits of the digit d at bits 4k..4k+3,
@@ -508,7 +507,10 @@ def format_betti_json(table: BettiTable) -> str:
     # by_degree[i] holds the parts of the items of beta_i: each is its
     # degree's head, its mask's name array and its rank's tail
     by_degree: list[list[str]] = [[] for _ in range(table.pd + 1)]
-    head = [f',\n    {{\n      "i": {i},\n      "monomial": ' for i in range(table.pd + 1)]
+    head = [
+        f',\n    {{\n      "i": {i},\n      "monomial": ' for i in range(table.pd + 1)
+    ]
+    head[0] = head[0][1:]  # beta_0 is the bottom's alone; it opens the array
     tails: dict[int, str] = {}
     for mask, ranks in table._entries:
         array = ""
@@ -521,10 +523,9 @@ def format_betti_json(table: BettiTable) -> str:
             k += 4
         monomial = f"[{array[1:]}\n      ]" if array else "[]"
         for i, rank in ranks:
-            tail = tails.get(rank) or tails.setdefault(
-                rank, f',\n      "rank": {rank}\n    }}'
-            )
-            by_degree[i] += head[i], monomial, tail
+            if rank not in tails:
+                tails[rank] = f',\n      "rank": {rank}\n    }}'
+            by_degree[i] += head[i], monomial, tails[rank]
     graded = [
         f'{{\n      "i": {i},\n      "j": {j},\n      "rank": {rank}\n    }}'
         for (i, j), rank in sorted(table.graded.items())
@@ -539,11 +540,8 @@ def format_betti_json(table: BettiTable) -> str:
         f'  "graded": {_array(graded, "  ")},\n'
         '  "multigraded": ['
     ]
-    for degree_parts in by_degree:
-        parts += degree_parts
-        degree_parts.clear()
-    # the bottom's beta_(0, 1) opens the array, so its head drops the comma
-    parts[1] = parts[1][1:]
+    while by_degree:  # each degree's list is freed once copied
+        parts += by_degree.pop(0)
     parts.append(
         "\n  ],\n"
         f'  "pd": {table.pd},\n'

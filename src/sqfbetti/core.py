@@ -185,10 +185,9 @@ class MonomialIdeal:
 
     ``gens`` is canonically sorted by (degree, sorted index tuple); the
     position of a generator here is the facet index used everywhere else
-    in the package.  ``masks`` holds their masks in the same order, made
-    once here for the tests and searches that decide on ints.  Construct
-    through :func:`normalize_generators` unless the invariants are
-    already known to hold.
+    in the package, and ``masks`` holds their masks in that order.
+    Construct through :func:`normalize_generators` unless the invariants
+    are already known to hold.
     """
 
     __slots__ = ("vars", "gens", "masks")
@@ -218,21 +217,18 @@ class MonomialIdeal:
     def top(self) -> SqfMonomial:
         """lcm of all generators, x_1...x_n by the covering invariant."""
         m = 0
-        for g in self.masks:
-            m |= g
+        for g in self.gens:
+            m |= g.mask
         return SqfMonomial(m)
 
     def contains(self, m: SqfMonomial) -> bool:
         """Ideal membership: some generator divides m."""
-        outside = ~m.mask
-        for g in self.masks:
-            if not g & outside:
-                return True
-        return False
+        return any(not g & ~m.mask for g in self.masks)
 
     def index_of(self, g: SqfMonomial) -> int:
-        if g.mask in self.masks:
-            return self.masks.index(g.mask)
+        for i, h in enumerate(self.gens):
+            if h.mask == g.mask:
+                return i
         raise ValueError(f"{g!r} is not a generator")
 
 
@@ -295,8 +291,9 @@ class SimplicialComplex:
     def facet_index(self, f) -> int:
         """Resolve an int index or a monomial to a facet position."""
         if isinstance(f, SqfMonomial):
-            if f.mask in self.ideal.masks:
-                return self.ideal.masks.index(f.mask)
+            for i, g in enumerate(self.facets):
+                if g.mask == f.mask:
+                    return i
             raise NotAFacet(f"{format_monomial(f, self.vars)} is not a facet")
         i = int(f)
         if not 0 <= i < len(self.facets):

@@ -473,9 +473,7 @@ def split_certificate(I: MonomialIdeal, woc, a: int) -> SplitCertificate:
     failure here is an internal error, not a negative answer.  The prefix
     is checked against I_[m] directly, and condition records which
     sufficient clause applies (None when neither does, which is not a
-    refutation).  Every check is decided on I.masks and the two lcm
-    masks; the two SqfMonomials are made once, for the complement test's
-    arguments and the returned certificate.
+    refutation).  Every check is decided on I.masks and the lcms' masks.
     """
     seq = _as_cover(I, woc).sequence
     s = len(seq)

@@ -161,12 +161,11 @@ def in_lattice(I: MonomialIdeal, m: SqfMonomial) -> bool:
     Their lcm divides m and is the largest element below it, so m is an
     lcm of generators exactly when that lcm is m itself.
     """
-    top = m.mask
     covered = 0
     for g in I.masks:
-        if not g & ~top:
+        if not g & ~m.mask:
             covered |= g
-    return covered == top
+    return covered == m.mask
 
 
 def complementary(I: MonomialIdeal, m: SqfMonomial, m2: SqfMonomial) -> bool:
@@ -206,15 +205,13 @@ def enumerate_complements(I: MonomialIdeal, m: SqfMonomial) -> list[SqfMonomial]
     no generator; and every such c | T in LCM(I) is a complement.  The
     sets T are searched depth first over m's variables, and a T that
     holds a generator is cut with all its supersets.  No lattice is
-    built, and each c | T is tested for membership on I.masks, with no
-    monomial made.  Raises SizeLimitExceeded, with the complements found
-    so far attached, once more than DEFAULT_LATTICE_CAP sets T are visited.
+    built.  Raises SizeLimitExceeded, with the complements found so far
+    attached, once more than DEFAULT_LATTICE_CAP sets T are visited.
     """
     if not in_lattice(I, m):
         raise NotInLattice(f"{m!r} is not in LCM(I)")
-    masks = I.masks
     c = I.vars.full_mask & ~m.mask
-    below = [g for g in masks if not g & ~m.mask]
+    below = [g for g in I.masks if not g & ~m.mask]
     bits = [1 << k for k in m.indices()]
     found: list[int] = []
     spend = errors.budget(
@@ -224,19 +221,11 @@ def enumerate_complements(I: MonomialIdeal, m: SqfMonomial) -> list[SqfMonomial]
     while stack:
         t, start = stack.pop()
         spend()
-        x = c | t
-        covered = 0  # the join of the generators below x, as in in_lattice
-        for g in masks:
-            if not g & ~x:
-                covered |= g
-        if covered == x:
-            found.append(x)
+        if in_lattice(I, SqfMonomial(c | t)):
+            found.append(c | t)
         for pos in range(start, len(bits)):
             u = t | bits[pos]
-            for g in below:
-                if not g & ~u:
-                    break  # u holds a generator
-            else:
+            if all(g & ~u for g in below):
                 stack.append((u, pos + 1))
     return _in_order(found)
 
